@@ -476,19 +476,11 @@ def _suite_claims(bodies, rules):
                    limit_p_zero(body, zero, rule, grids["limit_zero_schedule"]))
 
 
-def run_verification_suite(bodies, rule2=None, rule3=None, max_workers=1):
+def run_verification_suite(bodies, rule2=None, rule3=None):
     """Run the standard battery over a list of bodies.
 
-    Claims are generated in a fixed order; with max_workers > 1 they are
-    evaluated on a thread pool but reported in submission order, so output
-    is deterministic either way.
+    Claims are generated and evaluated in a fixed order, so output is
+    deterministic.
     """
     rules = {2: rule2 or default_rule(2), 3: rule3 or default_rule(3)}
-    thunks = list(_suite_claims(bodies, rules))
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(lambda f: f(), thunks))
-    else:
-        reports = [f() for f in thunks]
-    return reports
+    return [claim() for claim in _suite_claims(bodies, rules)]

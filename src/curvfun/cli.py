@@ -4,8 +4,8 @@ Subcommands: eval, sweep, divergence, verify (single claims or the full
 suite on a body corpus), mc-polytope, corpus-gen.  Machine output is JSON
 lines by default, CSV behind --csv, human-readable text behind --pretty.
 Exit codes: 0 on success (and no violated verdicts), 1 if any verdict is
-"violated", 2 on usage errors.  CURVFUN_THREADS caps the fan-out of
-`verify all`; every command is deterministic for fixed flags and seed.
+"violated", 2 on usage errors.  Every command is deterministic for fixed
+flags and seed.
 """
 
 import argparse
@@ -378,17 +378,6 @@ def _cmd_verify(args):
     return _verify_exit([rep])
 
 
-def _thread_count():
-    raw = os.environ.get("CURVFUN_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise UsageError("CURVFUN_THREADS must be an integer, got %r" % raw)
-    return max(1, count)
-
-
 def _verify_all(args):
     corpus = args.corpus
     if not corpus or not os.path.isdir(corpus):
@@ -401,8 +390,7 @@ def _verify_all(args):
              else quadrature.default_rule(2))
     rule3 = (quadrature.parse_rule_spec(args.rule3, 3) if args.rule3
              else quadrature.default_rule(3))
-    reports = analysis.run_verification_suite(
-        bodies, rule2=rule2, rule3=rule3, max_workers=_thread_count())
+    reports = analysis.run_verification_suite(bodies, rule2=rule2, rule3=rule3)
     counts = {}
     for r in reports:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1

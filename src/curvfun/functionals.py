@@ -20,7 +20,6 @@ index recovers the classical L_p affine surface area.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -151,14 +150,16 @@ def _weight_factor(s, h, index):
     return out
 
 
-@lru_cache(maxsize=65536)
 def _omega_cached(body, index, p, rule):
-    alpha, beta = asa_exponents(body.dim, p)
-    g = curvature_grid(body, rule)
-    vals = (_weight_factor(g.s, g.h, index)
-            * _power(g.s_top, 1.0 - alpha - index.sum_i)
-            * _power(g.h, -beta))
-    return integrate(rule, vals)
+    key = (index, p, rule)
+    if key not in body._cache:
+        alpha, beta = asa_exponents(body.dim, p)
+        g = curvature_grid(body, rule)
+        vals = (_weight_factor(g.s, g.h, index)
+                * _power(g.s_top, 1.0 - alpha - index.sum_i)
+                * _power(g.h, -beta))
+        body._cache[key] = integrate(rule, vals)
+    return body._cache[key]
 
 
 def weighted_asa(body, index, p, rule=None):

@@ -22,7 +22,6 @@ drops to 1e-10 or below.
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +74,13 @@ class SupportBody:
 
     The three oracles accept arrays of shape (..., dim) of unit vectors:
         support -> (...,), gradient -> (..., dim), hessian -> (..., dim, dim).
-    Instances are immutable by convention and hash by identity, which lets
-    curvature grids be cached per (body, rule) pair.
+    Instances are immutable by convention and hash by identity.  Results
+    computed from the oracles (curvature grids per rule, functional values
+    per index, p and rule) are kept in the private _cache dict, so they
+    live exactly as long as the body.
     """
 
-    __slots__ = ("dim", "label", "support", "gradient", "hessian", "_polar")
+    __slots__ = ("dim", "label", "support", "gradient", "hessian", "_polar", "_cache")
 
     def __init__(self, dim, support, gradient, hessian, label, polar=None):
         if dim not in (2, 3):
@@ -90,6 +91,7 @@ class SupportBody:
         object.__setattr__(self, "hessian", hessian)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_polar", polar)
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, *_):
         raise AttributeError("SupportBody is immutable")
@@ -465,19 +467,20 @@ def curvature_arrays(body, U, check=True):
     return h, x, radii, s, H
 
 
-@lru_cache(maxsize=32)
-def _grid_cached(body, rule):
-    h, x, radii, s, H = curvature_arrays(body, rule.nodes, check=True)
-    for arr in (h, x, radii, s, H):
-        arr.setflags(write=False)
-    return CurvatureGrid(u=rule.nodes, h=h, x=x, radii=radii, s=s, H=H)
-
-
 def curvature_grid(body, rule=None):
-    """Cached curvature data of the body at the rule's nodes."""
+    """Curvature data of the body at the rule's nodes, read-only.
+
+    Computed once per rule and kept on the body; the rule is a key by
+    identity, so a rule built anew is a new entry.
+    """
     if rule is None:
         rule = default_rule(body.dim)
-    return _grid_cached(body, rule)
+    if rule not in body._cache:
+        h, x, radii, s, H = curvature_arrays(body, rule.nodes, check=True)
+        for arr in (h, x, radii, s, H):
+            arr.setflags(write=False)
+        body._cache[rule] = CurvatureGrid(u=rule.nodes, h=h, x=x, radii=radii, s=s, H=H)
+    return body._cache[rule]
 
 
 def curvature_at(body, u):

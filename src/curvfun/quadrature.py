@@ -105,13 +105,21 @@ def sphere_rule(n_polar=64, n_azimuth=128):
     return SphereRule(3, nodes, weights, "%dx%d" % (n_polar, n_azimuth))
 
 
+_DEFAULT_RULES = {}
+
+
 def default_rule(dim):
-    """Library default: 512 angles on S^1, 64x128 product nodes on S^2."""
-    if dim == 2:
-        return circle_rule(512)
-    if dim == 3:
-        return sphere_rule(64, 128)
-    raise ValueError("only dimensions 2 and 3 are supported")
+    """Library default: 512 angles on S^1, 64x128 product nodes on S^2.
+
+    Built once per dimension and shared: every call with the same dim
+    returns the same read-only rule, so results cached per rule on a body
+    are found again by later default-rule calls.
+    """
+    if dim not in _DEFAULT_RULES:
+        if dim not in (2, 3):
+            raise ValueError("only dimensions 2 and 3 are supported")
+        _DEFAULT_RULES[dim] = circle_rule(512) if dim == 2 else sphere_rule(64, 128)
+    return _DEFAULT_RULES[dim]
 
 
 def parse_rule_spec(spec, dim):

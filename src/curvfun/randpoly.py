@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from ._extrap import neville_to_zero
 from .functionals import WeightIndex, _power, _validate_p, asa_exponents, weighted_asa
@@ -264,6 +263,10 @@ def hull_volume(points):
         cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
         area = 0.5 * abs(math.fsum(cross.tolist()))
         return HullResult(area, area == 0.0)
+    # imported here: scipy.spatial is most of the package's import time
+    # and only the spatial branch needs it
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(pts)
     except QhullError:

@@ -248,17 +248,6 @@ def test_verify_all(corpus_dir, capsys):
     assert len(records) > 300
 
 
-def test_verify_all_thread_count_invariance(corpus_dir, capsys, monkeypatch):
-    code, single, err = run_cli(
-        ["verify", "all", "--corpus", str(corpus_dir), "--json"], capsys)
-    assert code == 0
-    monkeypatch.setenv("CURVFUN_THREADS", "4")
-    code, multi, err = run_cli(
-        ["verify", "all", "--corpus", str(corpus_dir), "--json"], capsys)
-    assert code == 0
-    assert single == multi
-
-
 def test_verify_all_needs_corpus(capsys):
     code, out, err = run_cli(["verify", "all"], capsys)
     assert code == 2

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -272,6 +274,23 @@ def test_curvature_grid_caching(ball2, rule2):
     assert g1 is g2
     assert not g1.h.flags.writeable
     assert np.max(np.abs(g1.s_top - 1.0)) < 1e-12
+    # calls without a rule hit the same entry
+    assert cf.curvature_grid(ball2) is cf.curvature_grid(ball2)
+    # rules are keys by identity: a rule with the same name but other
+    # weights gets its own entries and values
+    doubled = cf.SphereRule(2, rule2.nodes, 2.0 * rule2.weights, rule2.name)
+    assert cf.curvature_grid(ball2, doubled) is not g1
+    assert cf.asa(ball2, 1.0, doubled).value == 2.0 * cf.asa(ball2, 1.0, rule2).value
+
+
+def test_curvature_cache_dies_with_body():
+    body = cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 1.0]))
+    cf.asa(body, 1.0)
+    grid = weakref.ref(cf.curvature_grid(body))
+    assert grid() is not None
+    del body
+    gc.collect()
+    assert grid() is None
 
 
 @settings(max_examples=25, deadline=None)

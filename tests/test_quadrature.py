@@ -99,6 +99,9 @@ def test_parse_rule_spec():
 
 
 def test_default_rules(rule2, rule3):
+    # one shared rule per dimension, so default-rule calls can hit caches
+    assert cf.default_rule(2) is rule2
+    assert cf.default_rule(3) is rule3
     assert rule2.dim == 2
     assert rule3.dim == 3
     assert abs(math.fsum(rule2.weights.tolist()) - 2 * math.pi) < 1e-12
