@@ -116,14 +116,22 @@ def _h_spread(body, rule):
 
 
 def equality_class(body, rule=None):
-    """Classify the body as "ball", "ellipsoid" or "generic" numerically."""
+    """Classify the body as "ball", "ellipsoid" or "generic" numerically.
+
+    The label is computed once per rule and kept on the body.
+    """
     if rule is None:
         rule = default_rule(body.dim)
-    if _h_spread(body, rule) < EQUALITY_TOL:
-        return "ball"
-    if petty_ratio_stats(body, rule).is_ellipsoid:
-        return "ellipsoid"
-    return "generic"
+    key = ("equality_class", rule)
+    if key not in body._cache:
+        if _h_spread(body, rule) < EQUALITY_TOL:
+            label = "ball"
+        elif petty_ratio_stats(body, rule).is_ellipsoid:
+            label = "ellipsoid"
+        else:
+            label = "generic"
+        body._cache[key] = label
+    return body._cache[key]
 
 
 def _verdict(slack):

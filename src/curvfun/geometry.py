@@ -75,9 +75,9 @@ class SupportBody:
     The three oracles accept arrays of shape (..., dim) of unit vectors:
         support -> (...,), gradient -> (..., dim), hessian -> (..., dim, dim).
     Instances are immutable by convention and hash by identity.  Results
-    computed from the oracles (curvature grids per rule, functional values
-    per index, p and rule) are kept in the private _cache dict, so they
-    live exactly as long as the body.
+    computed from the oracles (curvature grids and equality labels per
+    rule, functional values per index, p and rule) are kept in the private
+    _cache dict, so they live exactly as long as the body.
     """
 
     __slots__ = ("dim", "label", "support", "gradient", "hessian", "_polar", "_cache")
@@ -273,17 +273,20 @@ def make_perturbed_ball(dim, mode=3, eps=0.05, label=None, rule=None):
 
     if rule is None:
         rule = default_rule(dim)
-    h, _, radii, _, _ = curvature_arrays(body, rule.nodes, check=False)
-    worst = float(radii.min())
-    if worst <= MIN_RADIUS:
+    h, radii, _, _ = _curvature_core(body, rule.nodes, check=False)
+    try:
+        _check_positive(body, rule.nodes, h, radii)
+    except ConvexityError:
+        worst = float(radii.min())
+        if worst > MIN_RADIUS:
+            raise BodyConstructionError(
+                "support function nonpositive for eps=%g" % eps) from None
         # radii are exactly linear in eps here: r = 1 + eps*slope
         slopes = (radii - 1.0) / eps
         eps_max = -1.0 / float(slopes.min())
         raise BodyConstructionError(
             "curvature positivity fails for eps=%g (min radius %.3g); "
-            "maximum valid eps is about %.6g" % (eps, worst, eps_max))
-    if np.any(h <= 0):
-        raise BodyConstructionError("support function nonpositive for eps=%g" % eps)
+            "maximum valid eps is about %.6g" % (eps, worst, eps_max)) from None
     return body
 
 
@@ -418,25 +421,33 @@ def _tangent_frames(U):
     return t1, t2
 
 
-def curvature_arrays(body, U, check=True):
-    """Batch curvature data at unit directions U of shape (L, dim).
+def _check_positive(body, U, h, radii, min_radius=MIN_RADIUS, note=""):
+    # the one positivity test: every principal radius above min_radius,
+    # then every support value above 0; note is appended to the latter
+    worst = radii.min()
+    if worst <= min_radius:
+        idx = int(np.unravel_index(np.argmin(radii), radii.shape)[0])
+        raise ConvexityError(
+            "tangential hessian eigenvalue %.6g <= %g at u=%s (body %r)"
+            % (worst, min_radius, U[idx].tolist(), body.label))
+    if np.any(h <= 0):
+        idx = int(np.argmin(h))
+        raise ConvexityError(
+            "support function %.6g <= 0 at u=%s (body %r)%s"
+            % (h[idx], U[idx].tolist(), body.label, note))
 
-    Returns:
-        (h, x, radii, s, H): support values (L,), boundary points (L, dim),
-        principal radii sorted ascending (L, dim-1), normalized symmetric
-        functions s_j (L, dim) with s_0 = 1, and their boundary duals H_j.
 
-    Raises:
-        ConvexityError: if check is set and a radius is <= 1e-10.
-    """
-    U = np.asarray(U, dtype=float)
+def _curvature_core(body, U, check):
+    # curvature_arrays without the boundary points: (h, radii, s, H)
     h = np.asarray(body.support(U), dtype=float)
-    x = np.asarray(body.gradient(U), dtype=float)
     hess = np.asarray(body.hessian(U), dtype=float)
-    n = body.dim
-    if n == 2:
-        tang = np.stack([-U[:, 1], U[:, 0]], axis=1)
-        r = np.einsum("li,lij,lj->l", tang, hess, tang)
+    if body.dim == 2:
+        # t^T hess t for the tangent t = (-u1, u0), summed in einsum's term
+        # order: bitwise equal to einsum("li,lij,lj->l") on two or more
+        # rows (einsum pairs the terms for a single row), and faster
+        t0, t1 = -U[:, 1], U[:, 0]
+        r = (t0 * hess[:, 0, 0] * t0 + t0 * hess[:, 0, 1] * t1
+             + t1 * hess[:, 1, 0] * t0 + t1 * hess[:, 1, 1] * t1)
         radii = r[:, None]
         s_top = r
         s = np.stack([np.ones_like(r), r], axis=1)
@@ -451,19 +462,26 @@ def curvature_arrays(body, U, check=True):
         s_top = b11 * b22 - b12 * b12
         s = np.stack([np.ones_like(mean), mean, s_top], axis=1)
     if check:
-        worst = radii.min()
-        if worst <= MIN_RADIUS:
-            idx = int(np.unravel_index(np.argmin(radii), radii.shape)[0])
-            raise ConvexityError(
-                "tangential hessian eigenvalue %.6g <= %g at u=%s (body %r)"
-                % (worst, MIN_RADIUS, U[idx].tolist(), body.label))
-        if np.any(h <= 0):
-            idx = int(np.argmin(h))
-            raise ConvexityError(
-                "support function %.6g <= 0 at u=%s (body %r)"
-                % (h[idx], U[idx].tolist(), body.label))
+        _check_positive(body, U, h, radii)
     # duality: H_j * s_{n-1} = s_{n-1-j}
     H = s[:, ::-1] / s_top[:, None]
+    return h, radii, s, H
+
+
+def curvature_arrays(body, U, check=True):
+    """Batch curvature data at unit directions U of shape (L, dim).
+
+    Returns:
+        (h, x, radii, s, H): support values (L,), boundary points (L, dim),
+        principal radii sorted ascending (L, dim-1), normalized symmetric
+        functions s_j (L, dim) with s_0 = 1, and their boundary duals H_j.
+
+    Raises:
+        ConvexityError: if check is set and a radius is <= 1e-10.
+    """
+    U = np.asarray(U, dtype=float)
+    h, radii, s, H = _curvature_core(body, U, check)
+    x = np.asarray(body.gradient(U), dtype=float)
     return h, x, radii, s, H
 
 
@@ -508,19 +526,9 @@ def check_c2plus(body, rule=None, min_radius=MIN_RADIUS):
     """
     if rule is None:
         rule = default_rule(body.dim)
-    h, _, radii, _, _ = curvature_arrays(body, rule.nodes, check=False)
-    worst = float(radii.min())
-    if worst <= min_radius:
-        idx = int(np.unravel_index(np.argmin(radii), radii.shape)[0])
-        raise ConvexityError(
-            "tangential hessian eigenvalue %.6g <= %g at u=%s (body %r)"
-            % (worst, min_radius, rule.nodes[idx].tolist(), body.label))
-    if np.any(h <= 0):
-        idx = int(np.argmin(h))
-        raise ConvexityError(
-            "support function %.6g <= 0 at u=%s (body %r); origin not interior"
-            % (h[idx], rule.nodes[idx].tolist(), body.label))
-    return worst
+    h, radii, _, _ = _curvature_core(body, rule.nodes, check=False)
+    _check_positive(body, rule.nodes, h, radii, min_radius, "; origin not interior")
+    return float(radii.min())
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._extrap import neville_to_zero
 from .functionals import WeightIndex, _power, _validate_p, asa_exponents, weighted_asa
-from .geometry import body_volume, curvature_arrays, curvature_grid
+from .geometry import _curvature_core, body_volume, curvature_grid
 from .quadrature import default_rule, integrate
 
 __all__ = [
@@ -101,13 +101,8 @@ class BoundaryDensity:
 
     def target(self, U):
         """Sphere-side density f(x(u)) * s_{n-1}(u) at unit directions U."""
-        t, _ = self._target_points(np.asarray(U, dtype=float))
-        return t
-
-    def _target_points(self, U):
-        h, x, _, s, H = curvature_arrays(self.body, U, check=True)
-        f = _density_values(h, s, H, self.index, self.p)
-        return f * s[:, -1], x
+        h, _, s, H = _curvature_core(self.body, np.asarray(U, dtype=float), check=True)
+        return _density_values(h, s, H, self.index, self.p) * s[:, -1]
 
 
 def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
@@ -175,6 +170,14 @@ class SampleStats(NamedTuple):
     envelope: float
 
 
+# proposal rows drawn in one sampler round at most, so a large safety
+# factor (a low acceptance rate) cannot allocate count / acceptance rows
+_ROUND_ROWS = 1 << 16
+
+# boundary measure of the unit sphere S^(n-1), by dimension n
+_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
+
+
 def _uniform_directions(rng, dim, count):
     if dim == 2:
         theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
@@ -195,14 +198,21 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     true target ever exceeds the envelope (the rule max was understated),
     an EnvelopeError is raised rather than silently skewing the sample.
 
+    The acceptance rate is known in advance, normalizer / (envelope *
+    |S^(n-1)|), so each round draws (need + 4 sqrt(need)) / rate proposals
+    for the need points still missing, at most 65536; one round almost
+    always suffices.  Only the target is evaluated on every proposal; the
+    boundary points x(u) are computed for accepted rows alone.
+
     seed: int, sequence of ints, or an existing numpy Generator.
     """
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    body = density.body
     env = density.envelope
-    batch = max(256, 2 * count)
+    rate = density.normalizer / (env * _SPHERE_AREA[body.dim])
     chunks = []
     accepted = 0
     proposals = 0
@@ -212,9 +222,11 @@ def sample_boundary(density, count, seed=None, return_stats=False):
             raise RuntimeError(
                 "rejection sampler stalled after %d proposals (%d accepted)"
                 % (proposals, accepted))
-        U = _uniform_directions(rng, density.body.dim, batch)
+        need = count - accepted
+        batch = min(_ROUND_ROWS, math.ceil((need + 4.0 * math.sqrt(need)) / rate))
+        U = _uniform_directions(rng, body.dim, batch)
         m = U.shape[0]
-        t, x = density._target_points(U)
+        t = density.target(U)
         worst = int(np.argmax(t))
         if t[worst] > env:
             raise EnvelopeError(
@@ -225,7 +237,7 @@ def sample_boundary(density, count, seed=None, return_stats=False):
         proposals += m
         kept = int(np.count_nonzero(keep))
         if kept:
-            chunks.append(x[keep])
+            chunks.append(np.asarray(body.gradient(U[keep]), dtype=float))
             accepted += kept
     points = np.concatenate(chunks, axis=0)[:count]
     if return_stats:

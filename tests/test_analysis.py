@@ -18,6 +18,10 @@ def test_equality_classification(ball2, ellipse21, ellipsoid211, pball05, rng):
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     assert cf.equality_class(cf.transform(ball2, q)) == "ball"
     assert cf.equality_class(cf.transform(ellipse21, q)) == "ellipsoid"
+    # the label is kept on the body, next to its grid
+    fresh = cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 1.0]))
+    assert cf.equality_class(fresh) == "ellipsoid"
+    assert fresh._cache[("equality_class", cf.default_rule(2))] == "ellipsoid"
 
 
 def test_petty_stats_on_ellipse(ellipse21):

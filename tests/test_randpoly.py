@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import curvfun as cf
+from curvfun import randpoly
 
 
 def test_limit_constant_values():
@@ -108,6 +109,64 @@ def test_envelope_violation_from_coarse_rule():
     fine = cf.boundary_density(body, p=1.0, safety=1.05)
     points = cf.sample_boundary(fine, 200, seed=0)
     assert points.shape == (200, 2)
+
+
+def _counting_body(body):
+    # the body's own oracles, with the rows each gradient and hessian call
+    # receives recorded
+    calls = {"gradient": [], "hessian": []}
+
+    def gradient(U):
+        calls["gradient"].append(len(U))
+        return body.gradient(U)
+
+    def hessian(U):
+        calls["hessian"].append(len(U))
+        return body.hessian(U)
+
+    counted = cf.SupportBody(body.dim, body.support, gradient, hessian, body.label)
+    return counted, calls
+
+
+@pytest.mark.parametrize("count", [1, 1000, 70000])
+def test_sample_boundary_maps_only_accepted_rows(ellipse21, count):
+    body, calls = _counting_body(ellipse21)
+    density = cf.boundary_density(body, p=1.0)
+    calls["gradient"].clear()
+    calls["hessian"].clear()
+    _, info = cf.sample_boundary(density, count, seed=4, return_stats=True)
+    # boundary points are computed for accepted proposals only, and no
+    # round evaluates more rows than the budget
+    assert sum(calls["gradient"]) == info.accepted
+    assert sum(calls["hessian"]) == info.proposals
+    assert max(calls["hessian"]) <= randpoly._ROUND_ROWS
+    assert max(calls["gradient"]) <= randpoly._ROUND_ROWS
+    if count == 70000:
+        assert len(calls["hessian"]) > 1
+
+
+def test_sample_boundary_sizes_round_from_acceptance(ellipse21):
+    count = 1000
+    density = cf.boundary_density(ellipse21, p=1.0)
+    rate = density.normalizer / (density.envelope * 2.0 * math.pi)
+    _, info = cf.sample_boundary(density, count, seed=5, return_stats=True)
+    assert info.accepted >= count
+    assert info.proposals <= math.ceil((count + 4.0 * math.sqrt(count)) / rate)
+
+
+@pytest.mark.parametrize("fixture", ["ellipse21", "pball10"])
+def test_expected_deficit_matches_public_calls(request, fixture):
+    # the estimator runs the public sampler and hull on [seed, N, trial]
+    # streams, so a rebuild from those calls gives the same bits
+    density = cf.boundary_density(request.getfixturevalue(fixture), p=1.0)
+    seed, n, trials = 9, 40, 6
+    est = cf.expected_deficit(density, n, trials=trials, seed=(seed, n))
+    vol = cf.body_volume(density.body, density.rule)
+    deficits = [
+        vol - cf.hull_volume(cf.sample_boundary(
+            density, n, seed=np.random.default_rng([seed, n, t]))).volume
+        for t in range(trials)]
+    assert est.mean == math.fsum(deficits) / trials
 
 
 def test_hull_volume_2d():
