@@ -581,3 +581,7 @@ def run(argv=None):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -217,8 +217,8 @@ def make_ellipsoid(dim, matrix, label=None):
                        polar=lambda: make_ellipsoid(dim, np.linalg.inv(m)))
 
 
-# registry of odd harmonic polynomials on R^3, keyed by mode id.
-# each entry: (degree, P, grad P, hess P), all vectorized over (..., 3).
+# the dim-3 perturbation mode 3: the odd degree-3 sectoral harmonic
+# P = x^3 - 3xy^2, its gradient and hessian, vectorized over (..., 3)
 def _harmonic_sectoral3(U):
     x, y = U[..., 0], U[..., 1]
     return x * (x * x - 3.0 * y * y)
@@ -241,11 +241,6 @@ def _harmonic_sectoral3_hess(U):
     return h
 
 
-_HARMONICS3 = {
-    3: (3, _harmonic_sectoral3, _harmonic_sectoral3_grad, _harmonic_sectoral3_hess),
-}
-
-
 def make_perturbed_ball(dim, mode=3, eps=0.05, label=None, rule=None):
     """Unit ball with a single-mode support perturbation.
 
@@ -263,11 +258,10 @@ def make_perturbed_ball(dim, mode=3, eps=0.05, label=None, rule=None):
             raise BodyConstructionError("dim-2 perturbation mode must be an integer >= 3")
         body = _perturbed_disk(int(mode), float(eps), label)
     elif dim == 3:
-        if mode not in _HARMONICS3:
+        if mode != 3:
             raise BodyConstructionError(
-                "unknown dim-3 harmonic mode %r (available: %s)"
-                % (mode, sorted(_HARMONICS3)))
-        body = _perturbed_ball3(mode, float(eps), label)
+                "unknown dim-3 harmonic mode %r (available: [3])" % (mode,))
+        body = _perturbed_ball3(float(eps), label)
     else:
         raise ValueError("only dimensions 2 and 3 are supported")
 
@@ -320,9 +314,9 @@ def _perturbed_disk(mode, eps, label):
     return SupportBody(2, support, gradient, hessian, label)
 
 
-def _perturbed_ball3(mode, eps, label):
-    deg, P, gradP, hessP = _HARMONICS3[mode]
-    a = 1.0 - deg  # homogeneity shift of P(z)/|z|^(deg-1)
+def _perturbed_ball3(eps, label):
+    P, gradP, hessP = _harmonic_sectoral3, _harmonic_sectoral3_grad, _harmonic_sectoral3_hess
+    a = -2.0  # homogeneity shift 1 - deg of P(z)/|z|^(deg-1), deg = 3
     eye = np.eye(3)
 
     def support(U):
@@ -342,7 +336,7 @@ def _perturbed_ball3(mode, eps, label):
         return (eye - uu) + eps * core
 
     if label is None:
-        label = "pert3(mode=%d,eps=%g)" % (mode, eps)
+        label = "pert3(mode=3,eps=%g)" % eps
     return SupportBody(3, support, gradient, hessian, label)
 
 
@@ -463,8 +457,10 @@ def _curvature_core(body, U, check):
         s = np.stack([np.ones_like(mean), mean, s_top], axis=1)
     if check:
         _check_positive(body, U, h, radii)
-    # duality: H_j * s_{n-1} = s_{n-1-j}
-    H = s[:, ::-1] / s_top[:, None]
+    # duality: H_j * s_{n-1} = s_{n-1-j}; unchecked, s_{n-1} may be 0, and
+    # the caller's positivity test, not a numpy warning, reports it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H = s[:, ::-1] / s_top[:, None]
     return h, radii, s, H
 
 

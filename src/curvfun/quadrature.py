@@ -7,8 +7,12 @@ Two rule families cover everything the library integrates:
 * dim 3: Gauss-Legendre nodes in the cosine of the polar angle crossed with
   equally spaced azimuths.
 
-Summation is compensated and runs in a fixed node order, so repeated
-integrations of the same data are bit-identical.
+Every integral is the correctly rounded sum of the weighted node values,
+the same bits as ``math.fsum``, so it does not depend on node order and
+repeated integrations of the same data are bit-identical.  The exact sum
+is found by error-free extraction (Rump, Ogita & Oishi, "Accurate
+floating-point summation, part I: faithful rounding", SIAM J. Sci. Comput.
+31(1), 2008): a few vectorized passes, then one rounding.
 """
 
 import math
@@ -144,8 +148,9 @@ def parse_rule_spec(spec, dim):
 def integrate(rule, integrand):
     """Integrate per-node values (or a callable on the nodes) against the rule.
 
-    Uses math.fsum over the weighted values in node order, which is exactly
-    rounded and therefore reproducible run to run.
+    Returns the correctly rounded sum of the weighted values (the same bits
+    as math.fsum, found by error-free extraction), so the result is
+    independent of node order and reproducible run to run.
 
     Args:
         rule: SphereRule.
@@ -170,4 +175,36 @@ def integrate(rule, integrand):
             "non-finite integrand value %r at node %d, u=%s"
             % (values[bad], bad, rule.nodes[bad].tolist())
         )
-    return math.fsum(values * rule.weights)
+    return _exact_sum(values * rule.weights)
+
+
+def _exact_sum(p):
+    """Correctly rounded sum of a 1-D float64 array: the bits of math.fsum.
+
+    Each pass splits every value into (p + sigma) - sigma, its rounding to
+    the float grid at sigma, and an exact remainder, where sigma is a power
+    of two above 2**shift times the largest magnitude.  The rounded parts
+    are multiples of one grid step and their total stays below sigma, so
+    they sum exactly in any order (Rump, Ogita & Oishi 2008, Lemma 3.3).
+    The remainders are split again until none is left; fsum then rounds the
+    few exact partial sums once.  Values that are not finite or so large
+    that sigma would overflow go to fsum unchanged, so they raise or
+    propagate exactly as fsum does.
+    """
+    p = np.asarray(p, dtype=float)
+    shift = (p.size + 1).bit_length()  # 2**shift >= n + 2
+    limit = math.ldexp(1.0, 1022 - shift)
+    parts = []
+    q = np.empty_like(p)
+    while True:
+        top = np.abs(p, out=q).max(initial=0.0)
+        if not top < limit:
+            return math.fsum(p.tolist() + parts)
+        if top == 0.0:
+            # all-zero input: fsum picks the sign of the zero
+            return math.fsum(parts or p.tolist())
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        parts.append(float(q.sum()))
+        p = p - q

@@ -20,7 +20,7 @@ import numpy as np
 from ._extrap import neville_to_zero
 from .functionals import WeightIndex, _power, _validate_p, asa_exponents, weighted_asa
 from .geometry import _curvature_core, body_volume, curvature_grid
-from .quadrature import default_rule, integrate
+from .quadrature import _exact_sum, default_rule, integrate
 
 __all__ = [
     "BoundaryDensity",
@@ -273,7 +273,7 @@ def hull_volume(points):
         xs = pts[order, 0]
         ys = pts[order, 1]
         cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
-        area = 0.5 * abs(math.fsum(cross.tolist()))
+        area = 0.5 * abs(_exact_sum(cross))
         return HullResult(area, area == 0.0)
     # imported here: scipy.spatial is most of the package's import time
     # and only the spatial branch needs it

@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,22 @@ def test_corpus_gen_reproducible(corpus_dir, tmp_path, capsys):
     assert code == 0
     for p in sorted(corpus_dir.glob("*.json")):
         assert (other / p.name).read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("module", ["curvfun", "curvfun.cli"])
+def test_runs_as_module(module, corpus_dir, tmp_path):
+    # python -m works without the installed console script
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "bodies"
+    proc = subprocess.run([sys.executable, "-m", module, "corpus-gen", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    written = sorted(p.name for p in out.glob("*.json"))
+    assert len(written) == 8
+    for name in written:
+        assert (out / name).read_bytes() == (corpus_dir / name).read_bytes()
 
 
 def test_eval_ball3(corpus_dir, capsys):

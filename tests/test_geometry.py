@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -266,6 +267,26 @@ def test_convexity_error_reports_direction():
     disk = cf.make_perturbed_ball(2, mode=3, eps=0.12)
     _, _, radii, _, _ = cf.curvature_arrays(disk, cf.circle_rule(64).nodes)
     assert radii.min() > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zero_radius_raises_without_warning(dim):
+    # a zero hessian: every radius is 0, so the duality division hits 0/0;
+    # the positivity test must report it, not a numpy RuntimeWarning
+    def support(U):
+        return np.ones(np.shape(U)[:-1])
+
+    def hessian(U):
+        return np.zeros(np.shape(U) + (dim,))
+
+    flat = cf.SupportBody(dim, support, lambda U: np.asarray(U, dtype=float),
+                          hessian, "flat%d" % dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cf.ConvexityError, match="tangential hessian eigenvalue"):
+            cf.check_c2plus(flat)
+        with pytest.raises(cf.ConvexityError, match="tangential hessian eigenvalue"):
+            cf.curvature_grid(flat)
 
 
 def test_curvature_grid_caching(ball2, rule2):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvfun as cf
+from curvfun.quadrature import _exact_sum
 
 
 def test_circle_rule_weight_sum():
@@ -72,10 +73,11 @@ def test_integrate_rejects_bad_shapes():
         cf.integrate(rule, np.ones((16, 2)))
 
 
-def test_integrate_reports_nonfinite_node():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integrate_reports_nonfinite_node(bad):
     rule = cf.circle_rule(16)
     vals = np.ones(16)
-    vals[5] = np.nan
+    vals[5] = bad
     with pytest.raises(ValueError, match="node 5"):
         cf.integrate(rule, vals)
 
@@ -123,3 +125,73 @@ def test_trig_polynomials_integrate_exactly(coeffs):
     got = cf.integrate(rule, vals)
     scale = max(1.0, max(abs(c) for c in coeffs))
     assert abs(got - 2 * math.pi * coeffs[0]) < 1e-9 * scale
+
+
+def _bits(f, a):
+    # the exact bits of the result, or the error fsum raises (an overflowing
+    # intermediate, or inf - inf)
+    try:
+        return f(a).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _fsum(a):
+    return math.fsum(a.tolist())
+
+
+@st.composite
+def float_arrays(draw):
+    # signed values over the whole finite range (subnormals included, as
+    # drawn floats and as small exponents), sometimes with cancelling pairs
+    n = draw(st.integers(1, 70_000))
+    head = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         max_size=min(n, 32)))
+    lo = draw(st.integers(-1074, 1023))
+    hi = draw(st.integers(lo, 1023))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(lo, hi, n, endpoint=True))
+    a[:len(head)] = head
+    k = draw(st.integers(0, n // 2))
+    a[n - k:] = -a[rng.permutation(k)]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=float_arrays())
+def test_exact_sum_matches_fsum(a):
+    assert _bits(_exact_sum, a) == _bits(_fsum, a)
+    if len(a) >= 8:
+        rule = cf.circle_rule(len(a))
+        assert _bits(lambda v: cf.integrate(rule, v), a) == _bits(_fsum, a * rule.weights)
+
+
+@pytest.mark.parametrize("values", [
+    [1e308, 1e308, -1e308],  # exact sum finite, but fsum's partial sum overflows
+    [1.5e308, 1.5e308],
+    [1.7e308, -1.7e308, 1.0],
+    [2.0**1000, 2.0**-1074, -(2.0**1000)],
+    [np.inf, 1.0],
+    [-np.inf, 1.0],
+    [np.inf, -np.inf],
+    [np.nan, 1.0],
+    [-0.0, -0.0],
+])
+def test_exact_sum_fallback_matches_fsum(values):
+    a = np.array(values)
+    assert _bits(_exact_sum, a) == _bits(_fsum, a)
+
+
+@pytest.mark.parametrize("values", [
+    [1e308] * 8,  # every product overflows to inf
+    [1e308, -1e308] * 4,  # inf - inf
+    [1e308, 1.0] * 4,
+    [1e307] * 8,  # finite products whose sum overflows
+])
+def test_integrate_overflow_matches_fsum(values):
+    rule = cf.circle_rule(8)
+    big = cf.SphereRule(2, rule.nodes, np.full(8, 16.0), "8x16")
+    values = np.array(values)
+    with np.errstate(over="ignore"):
+        expected = _bits(_fsum, values * big.weights)
+        assert _bits(lambda v: cf.integrate(big, v), values) == expected

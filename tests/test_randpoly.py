@@ -185,6 +185,21 @@ def test_hull_volume_2d():
     assert out.degenerate
 
 
+@pytest.mark.parametrize("n", [3, 50, 4000])
+def test_hull_volume_2d_matches_fsum_shoelace(n):
+    # points off an ellipse, ordered by angle about their mean: the area is
+    # the shoelace sum rounded as math.fsum rounds it, bit for bit
+    rng = np.random.default_rng(n)
+    theta = rng.uniform(0.0, 2 * math.pi, n)
+    pts = np.stack([3.0 * np.cos(theta), 0.5 * np.sin(theta)], axis=1) + [1e3, -7.0]
+    c = pts.mean(axis=0)
+    order = np.argsort(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]), kind="stable")
+    xs, ys = pts[order, 0], pts[order, 1]
+    cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
+    expected = 0.5 * abs(math.fsum(cross.tolist()))
+    assert cf.hull_volume(pts).volume.hex() == expected.hex()
+
+
 def test_hull_volume_3d():
     simplex = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
