@@ -9,6 +9,11 @@ A body K (containing the origin in its interior) is handed around as a
 * the ambient hessian of that extension, whose restriction to the tangent
   plane u^perp has the principal radii of curvature as eigenvalues.
 
+A planar body may also carry a radius oracle, the radius of curvature
+r(u) = h + h'' in closed form.  Only the rejection sampler's target uses
+it, since it is far cheaper than the hessian's tangential form; curvature
+grids, and so every integral, always come from the hessian.
+
 From those we derive the normalized elementary symmetric functions s_j of
 the radii (sphere side) and, by duality, the normalized symmetric functions
 H_j of the principal curvatures at the boundary point: H_j * s_{n-1} equals
@@ -74,21 +79,29 @@ class SupportBody:
 
     The three oracles accept arrays of shape (..., dim) of unit vectors:
         support -> (...,), gradient -> (..., dim), hessian -> (..., dim, dim).
+    A planar body may also give radius -> (...,), the radius of curvature
+    h + h'' (the hessian's tangential form) in closed form, or None.  The
+    sampler's target density uses it; curvature grids do not.
     Instances are immutable by convention and hash by identity.  Results
     computed from the oracles (curvature grids and equality labels per
     rule, functional values per index, p and rule) are kept in the private
     _cache dict, so they live exactly as long as the body.
     """
 
-    __slots__ = ("dim", "label", "support", "gradient", "hessian", "_polar", "_cache")
+    __slots__ = ("dim", "label", "support", "gradient", "hessian", "radius",
+                 "_polar", "_cache", "__weakref__")
 
-    def __init__(self, dim, support, gradient, hessian, label, polar=None):
+    def __init__(self, dim, support, gradient, hessian, label, polar=None,
+                 radius=None):
         if dim not in (2, 3):
             raise ValueError("only dimensions 2 and 3 are supported")
+        if radius is not None and dim != 2:
+            raise ValueError("a radius oracle is only defined in dimension 2")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "gradient", gradient)
         object.__setattr__(self, "hessian", hessian)
+        object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_polar", polar)
         object.__setattr__(self, "_cache", {})
@@ -154,7 +167,8 @@ def make_ball(dim, radius=1.0, label=None):
     if label is None:
         label = "ball%d(r=%g)" % (dim, r)
     return SupportBody(dim, support, gradient, hessian, label,
-                       polar=lambda: make_ball(dim, 1.0 / r))
+                       polar=lambda: make_ball(dim, 1.0 / r),
+                       radius=support if dim == 2 else None)
 
 
 def ellipsoid_matrix(semi_axes, rotation=None):
@@ -210,11 +224,31 @@ def make_ellipsoid(dim, matrix, label=None):
         outer = mu[..., :, None] * mu[..., None, :]
         return (m - outer / (h * h)[..., None, None]) / h[..., None, None]
 
+    radius = None
+    if dim == 2:
+        (m00, m01), (m10, m11) = m.tolist()
+        det = m00 * m11 - m01 * m10
+        einsum_support = support
+
+        def support(U):
+            U = np.asarray(U, dtype=float)
+            if U.size < 6:
+                # below three rows einsum pairs the terms
+                return einsum_support(U)
+            # u^T M u summed in einsum's term order: the same bits, faster
+            u0, u1 = U[..., 0], U[..., 1]
+            return np.sqrt(u0 * m00 * u0 + u0 * m01 * u1 + u1 * m10 * u0 + u1 * m11 * u1)
+
+        def radius(U):
+            h = support(U)
+            return det / (h * h * h)
+
     if label is None:
         axes = np.sqrt(np.sort(eigs)[::-1])
         label = "ellipsoid%d(%s)" % (dim, ",".join("%g" % v for v in axes))
     return SupportBody(dim, support, gradient, hessian, label,
-                       polar=lambda: make_ellipsoid(dim, np.linalg.inv(m)))
+                       polar=lambda: make_ellipsoid(dim, np.linalg.inv(m)),
+                       radius=radius)
 
 
 # the dim-3 perturbation mode 3: the odd degree-3 sectoral harmonic
@@ -302,16 +336,18 @@ def _perturbed_disk(mode, eps, label):
         tang = np.stack([-U[..., 1], U[..., 0]], axis=-1)
         return h[..., None] * U + hp[..., None] * tang
 
+    def radius(U):
+        return 1.0 + eps * (1.0 - L * L) * np.cos(L * _theta(U))  # h + h''
+
     def hessian(U):
         U = np.asarray(U, dtype=float)
-        th = _theta(U)
-        r = 1.0 + eps * (1.0 - L * L) * np.cos(L * th)  # h + h''
+        r = radius(U)
         tang = np.stack([-U[..., 1], U[..., 0]], axis=-1)
         return r[..., None, None] * (tang[..., :, None] * tang[..., None, :])
 
     if label is None:
         label = "pert2(L=%d,eps=%g)" % (L, eps)
-    return SupportBody(2, support, gradient, hessian, label)
+    return SupportBody(2, support, gradient, hessian, label, radius=radius)
 
 
 def _perturbed_ball3(eps, label):
@@ -431,21 +467,26 @@ def _check_positive(body, U, h, radii, min_radius=MIN_RADIUS, note=""):
             % (h[idx], U[idx].tolist(), body.label, note))
 
 
-def _curvature_core(body, U, check):
-    # curvature_arrays without the boundary points: (h, radii, s, H)
+def _curvature_core(body, U, check, use_radius=False):
+    # curvature_arrays without the boundary points: (h, radii, s, H); with
+    # use_radius, a planar body's radius oracle, if any, replaces the hessian
     h = np.asarray(body.support(U), dtype=float)
-    hess = np.asarray(body.hessian(U), dtype=float)
     if body.dim == 2:
-        # t^T hess t for the tangent t = (-u1, u0), summed in einsum's term
-        # order: bitwise equal to einsum("li,lij,lj->l") on two or more
-        # rows (einsum pairs the terms for a single row), and faster
-        t0, t1 = -U[:, 1], U[:, 0]
-        r = (t0 * hess[:, 0, 0] * t0 + t0 * hess[:, 0, 1] * t1
-             + t1 * hess[:, 1, 0] * t0 + t1 * hess[:, 1, 1] * t1)
+        if use_radius and body.radius is not None:
+            r = np.asarray(body.radius(U), dtype=float)
+        else:
+            # t^T hess t for the tangent t = (-u1, u0), summed in einsum's
+            # term order: bitwise equal to einsum("li,lij,lj->l") on two or
+            # more rows (einsum pairs the terms for a single row), and faster
+            hess = np.asarray(body.hessian(U), dtype=float)
+            t0, t1 = -U[:, 1], U[:, 0]
+            r = (t0 * hess[:, 0, 0] * t0 + t0 * hess[:, 0, 1] * t1
+                 + t1 * hess[:, 1, 0] * t0 + t1 * hess[:, 1, 1] * t1)
         radii = r[:, None]
         s_top = r
         s = np.stack([np.ones_like(r), r], axis=1)
     else:
+        hess = np.asarray(body.hessian(U), dtype=float)
         t1, t2 = _tangent_frames(U)
         b11 = np.einsum("li,lij,lj->l", t1, hess, t1)
         b12 = np.einsum("li,lij,lj->l", t1, hess, t2)
@@ -587,7 +628,8 @@ def recenter(body, c, rule=None):
         return inner_gradient(U) - c
 
     out = SupportBody(body.dim, support, gradient, body.hessian,
-                      "%s-%s" % (body.label, np.round(c, 12).tolist()))
+                      "%s-%s" % (body.label, np.round(c, 12).tolist()),
+                      radius=body.radius)
     if rule is None:
         rule = default_rule(body.dim)
     h = out.support(rule.nodes)
@@ -620,11 +662,15 @@ def transform(body, arg):
         def hessian(U):
             return a * inner.hessian(U)
 
+        radius = None
+        if inner.radius is not None:
+            radius = lambda U: a * inner.radius(U)
+
         polar = None
         if inner._polar is not None:
             polar = lambda: transform(inner._polar(), 1.0 / a)
         return SupportBody(body.dim, support, gradient, hessian,
-                           "%s*%g" % (body.label, a), polar=polar)
+                           "%s*%g" % (body.label, a), polar=polar, radius=radius)
 
     q = np.asarray(arg, dtype=float)
     _check_orthogonal(q, body.dim)
@@ -643,11 +689,15 @@ def transform(body, arg):
         hin = inner.hessian(U @ q)
         return np.einsum("ij,...jk,lk->...il", q, hin, q)
 
+    radius = None
+    if inner.radius is not None:
+        radius = lambda U: inner.radius(np.asarray(U, dtype=float) @ q)
+
     polar = None
     if inner._polar is not None:
         polar = lambda: transform(inner._polar(), q)
     return SupportBody(body.dim, support, gradient, hessian,
-                       "%s@rot" % body.label, polar=polar)
+                       "%s@rot" % body.label, polar=polar, radius=radius)
 
 
 def _check_orthogonal(q, dim):
@@ -661,12 +711,16 @@ def polar_body(body):
     """The polar body, for constructions that carry an analytic polar.
 
     Balls and centered ellipsoids (and their rotations and scalings) do;
-    perturbed balls and recentered bodies do not.
+    perturbed balls and recentered bodies do not.  Built once and kept on
+    the body, so the polar's own cached grids and values are reused.
     """
     if body._polar is None:
         raise ValueError(
             "no analytic polar support oracle available for body %r" % body.label)
-    return body._polar()
+    # a string key: no rule or tuple key in the cache can equal it
+    if "polar" not in body._cache:
+        body._cache["polar"] = body._polar()
+    return body._cache["polar"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from ._extrap import neville_to_zero
 from .functionals import WeightIndex, _power, _validate_p, asa_exponents, weighted_asa
 from .geometry import _curvature_core, body_volume, curvature_grid
-from .quadrature import _exact_sum, default_rule, integrate
+from .quadrature import _exact_sum, default_rule, integrate, sphere_area
 
 __all__ = [
     "BoundaryDensity",
@@ -100,8 +100,13 @@ class BoundaryDensity:
     safety: float
 
     def target(self, U):
-        """Sphere-side density f(x(u)) * s_{n-1}(u) at unit directions U."""
-        h, _, s, H = _curvature_core(self.body, np.asarray(U, dtype=float), check=True)
+        """Sphere-side density f(x(u)) * s_{n-1}(u) at unit directions U.
+
+        A planar body's radius oracle, if it has one, gives s_1 here; the
+        tabulated values come from the hessian, like every curvature grid.
+        """
+        h, _, s, H = _curvature_core(self.body, np.asarray(U, dtype=float),
+                                     check=True, use_radius=True)
         return _density_values(h, s, H, self.index, self.p) * s[:, -1]
 
 
@@ -174,20 +179,18 @@ class SampleStats(NamedTuple):
 # factor (a low acceptance rate) cannot allocate count / acceptance rows
 _ROUND_ROWS = 1 << 16
 
-# boundary measure of the unit sphere S^(n-1), by dimension n
-_SPHERE_AREA = {2: 2.0 * math.pi, 3: 4.0 * math.pi}
-
 
 def _uniform_directions(rng, dim, count):
+    # unit directions and, in the plane, their angles in [0, 2 pi)
     if dim == 2:
         theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        return np.stack([np.cos(theta), np.sin(theta)], axis=1), theta
     g = rng.standard_normal((count, 3))
     norms = np.linalg.norm(g, axis=1)
     ok = norms > 1e-12
     if not np.all(ok):
         g, norms = g[ok], norms[ok]
-    return g / norms[:, None]
+    return g / norms[:, None], None
 
 
 def sample_boundary(density, count, seed=None, return_stats=False):
@@ -202,7 +205,9 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     |S^(n-1)|), so each round draws (need + 4 sqrt(need)) / rate proposals
     for the need points still missing, at most 65536; one round almost
     always suffices.  Only the target is evaluated on every proposal; the
-    boundary points x(u) are computed for accepted rows alone.
+    boundary points x(u) are computed for accepted rows alone, one round
+    at a time.  Planar proposals are drawn as angles, and a planar body's
+    radius oracle, if it has one, replaces the hessian in the target.
 
     seed: int, sequence of ints, or an existing numpy Generator.
     """
@@ -210,10 +215,20 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    points, _, stats = _sample(density, count, rng)
+    if return_stats:
+        return points, stats
+    return points
+
+
+def _sample(density, count, rng):
+    # sample_boundary's rejection rounds: the first count accepted points in
+    # draw order, their proposal angles in 2-D (None in 3-D), and the stats
     body = density.body
     env = density.envelope
-    rate = density.normalizer / (env * _SPHERE_AREA[body.dim])
+    rate = density.normalizer / (env * sphere_area(body.dim))
     chunks = []
+    angles = []
     accepted = 0
     proposals = 0
     cap = 1000 * count + 100_000
@@ -224,7 +239,7 @@ def sample_boundary(density, count, seed=None, return_stats=False):
                 % (proposals, accepted))
         need = count - accepted
         batch = min(_ROUND_ROWS, math.ceil((need + 4.0 * math.sqrt(need)) / rate))
-        U = _uniform_directions(rng, body.dim, batch)
+        U, theta = _uniform_directions(rng, body.dim, batch)
         m = U.shape[0]
         t = density.target(U)
         worst = int(np.argmax(t))
@@ -238,13 +253,14 @@ def sample_boundary(density, count, seed=None, return_stats=False):
         kept = int(np.count_nonzero(keep))
         if kept:
             chunks.append(np.asarray(body.gradient(U[keep]), dtype=float))
+            if theta is not None:
+                angles.append(theta[keep])
             accepted += kept
     points = np.concatenate(chunks, axis=0)[:count]
-    if return_stats:
-        stats = SampleStats(accepted=accepted, proposals=proposals,
-                            acceptance_rate=accepted / proposals, envelope=env)
-        return points, stats
-    return points
+    theta = np.concatenate(angles)[:count] if angles else None
+    stats = SampleStats(accepted=accepted, proposals=proposals,
+                        acceptance_rate=accepted / proposals, envelope=env)
+    return points, theta, stats
 
 
 class HullResult(NamedTuple):
@@ -257,8 +273,10 @@ def hull_volume(points):
 
     The planar branch sorts by angle around the centroid and applies the
     shoelace formula, which is only valid for points in convex position
-    (always true for samples off a convex boundary).  The spatial branch
-    delegates to qhull.  degenerate means the hull has empty interior.
+    (always true for samples off a convex boundary); the area is the
+    correctly rounded sum of the cross products, so it does not depend on
+    which vertex the cyclic order starts at.  The spatial branch delegates
+    to qhull.  degenerate means the hull has empty interior.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):
@@ -269,12 +287,7 @@ def hull_volume(points):
     if n == 2:
         c = pts.mean(axis=0)
         ang = np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
-        order = np.argsort(ang, kind="stable")
-        xs = pts[order, 0]
-        ys = pts[order, 1]
-        cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
-        area = 0.5 * abs(_exact_sum(cross))
-        return HullResult(area, area == 0.0)
+        return _shoelace(pts[np.argsort(ang)])
     # imported here: scipy.spatial is most of the package's import time
     # and only the spatial branch needs it
     from scipy.spatial import ConvexHull, QhullError
@@ -284,6 +297,14 @@ def hull_volume(points):
     except QhullError:
         return HullResult(0.0, True)
     return HullResult(float(hull.volume), False)
+
+
+def _shoelace(pts):
+    # area of the polygon whose vertices are the rows of pts in cyclic order
+    xs, ys = pts[:, 0], pts[:, 1]
+    cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
+    area = 0.5 * abs(_exact_sum(cross))
+    return HullResult(area, area == 0.0)
 
 
 @dataclass(frozen=True)
@@ -305,6 +326,11 @@ def expected_deficit(density, n_points, trials=256, seed=0):
     Each trial runs its own generator seeded with [*seed, trial], so runs
     are reproducible and trials are independent streams.  scaled_mean is
     the mean times n_points^(2/(n-1)), the quantity with a finite limit.
+    A planar trial takes the sampled points in the order of their proposal
+    (normal) angles.  On a strictly convex curve that is their cyclic
+    order along the boundary, the order hull_volume finds about the
+    centroid, so the shoelace needs no second sort and, its sum being
+    correctly rounded, gives hull_volume's area bit for bit.
     """
     n_points = int(n_points)
     trials = int(trials)
@@ -314,9 +340,14 @@ def expected_deficit(density, n_points, trials=256, seed=0):
     vol = body_volume(density.body, density.rule)
     deficits = []
     degenerate = 0
+    planar = density.body.dim == 2 and n_points >= 3
     for t in range(trials):
         rng = np.random.default_rng([*base, t])
-        res = hull_volume(sample_boundary(density, n_points, seed=rng))
+        if planar:
+            points, theta, _ = _sample(density, n_points, rng)
+            res = _shoelace(points[np.argsort(theta)])
+        else:
+            res = hull_volume(sample_boundary(density, n_points, seed=rng))
         degenerate += res.degenerate
         deficits.append(vol - res.volume)
     mean = math.fsum(deficits) / trials

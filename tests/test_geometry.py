@@ -151,6 +151,72 @@ def test_polar_body_unavailable(pball05):
         cf.polar_body(pball05)
 
 
+def test_polar_body_cached_on_body():
+    body = cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 1.0]))
+    polar = cf.polar_body(body)
+    assert cf.polar_body(body) is polar
+    # the limit runs on the cached polar, whose grid then serves a repeat
+    cf.limit_p_zero(body, cf.WeightIndex.zero(3))
+    assert cf.default_rule(3) in polar._cache
+    ref = weakref.ref(polar)
+    del body, polar
+    gc.collect()
+    assert ref() is None
+
+
+def _rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+_RADIUS_BODIES = {
+    "disk": lambda: cf.make_ball(2),
+    "ellipse21": lambda: cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 1.0])),
+    "rotated": lambda: cf.make_ellipsoid(
+        2, [[2.2, -0.7], [-0.7, 0.9]]),
+    "pert10": lambda: cf.make_perturbed_ball(2, mode=3, eps=0.1),
+    "scaled": lambda: cf.transform(cf.make_perturbed_ball(2, mode=5, eps=0.02), 2.5),
+    "rotation": lambda: cf.transform(
+        cf.make_ellipsoid(2, cf.ellipsoid_matrix([3.0, 1.0])), _rotation(0.4)),
+    "recenter": lambda: cf.recenter(
+        cf.make_ellipsoid(2, cf.ellipsoid_matrix([1.5, 0.8], _rotation(1.1))), [0.2, -0.3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RADIUS_BODIES))
+def test_radius_oracle_matches_hessian(name, rng):
+    body = _RADIUS_BODIES[name]()
+    theta = rng.uniform(0.0, 2 * math.pi, 4000)
+    U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    r = body.radius(U)
+    # curvature_arrays takes the radius from the hessian's tangential form
+    _, _, radii, _, _ = cf.curvature_arrays(body, U)
+    assert r.shape == (4000,)
+    assert np.max(np.abs(r - radii[:, 0]) / radii[:, 0]) < 1e-14
+
+
+def test_radius_oracle_only_in_the_plane(ellipsoid211, ball3, pball3d):
+    for body in (ellipsoid211, ball3, pball3d):
+        assert body.radius is None
+    assert cf.from_support(lambda U: np.ones(U.shape[:-1]), 2).radius is None
+    with pytest.raises(ValueError, match="dimension 2"):
+        cf.SupportBody(3, ball3.support, ball3.gradient, ball3.hessian, "b",
+                       radius=ball3.support)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 2), (3, 2), (7, 2), (4000, 2),
+                                   (1, 1, 2), (3, 5, 2)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_ellipse_support_matches_einsum(shape, rng):
+    m = np.array([[2.2, -0.7], [-0.7, 0.9]])
+    body = cf.make_ellipsoid(2, m)
+    for _ in range(50):
+        theta = rng.uniform(0.0, 2 * math.pi, shape[:-1])
+        U = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        want = np.sqrt(np.einsum("...i,ij,...j->...", U, m, U))
+        assert np.array_equal(body.support(U), want)
+
+
 def test_centroid_and_recenter(ball2):
     assert np.max(np.abs(cf.centroid(ball2))) < 1e-14
     c = np.array([0.1, -0.2])

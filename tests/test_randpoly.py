@@ -111,9 +111,9 @@ def test_envelope_violation_from_coarse_rule():
     assert points.shape == (200, 2)
 
 
-def _counting_body(body):
+def _counting_body(body, radius=None):
     # the body's own oracles, with the rows each gradient and hessian call
-    # receives recorded
+    # receives recorded; radius is passed on as the radius oracle
     calls = {"gradient": [], "hessian": []}
 
     def gradient(U):
@@ -124,7 +124,8 @@ def _counting_body(body):
         calls["hessian"].append(len(U))
         return body.hessian(U)
 
-    counted = cf.SupportBody(body.dim, body.support, gradient, hessian, body.label)
+    counted = cf.SupportBody(body.dim, body.support, gradient, hessian, body.label,
+                             radius=radius)
     return counted, calls
 
 
@@ -145,6 +146,37 @@ def test_sample_boundary_maps_only_accepted_rows(ellipse21, count):
         assert len(calls["hessian"]) > 1
 
 
+def test_sample_boundary_with_radius_oracle_skips_hessian(ellipse21):
+    body, calls = _counting_body(ellipse21, radius=ellipse21.radius)
+    density = cf.boundary_density(body, p=1.0)
+    # the tabulated density comes from the hessian, the target does not
+    assert sum(calls["hessian"]) == 512
+    calls["hessian"].clear()
+    calls["gradient"].clear()
+    points, info = cf.sample_boundary(density, 70000, seed=4, return_stats=True)
+    assert calls["hessian"] == []
+    assert sum(calls["gradient"]) == info.accepted
+    assert max(calls["gradient"]) <= randpoly._ROUND_ROWS
+    # the hessian's target accepts the same proposals on this stream
+    hessian_only, _ = _counting_body(ellipse21)
+    plain = cf.boundary_density(hessian_only, p=1.0)
+    assert np.array_equal(points, cf.sample_boundary(plain, 70000, seed=4))
+
+
+def test_sample_boundary_from_support_uses_hessian():
+    m = np.diag([4.0, 1.0])
+    fd = cf.from_support(
+        lambda U: np.sqrt(np.einsum("...i,ij,...j->...", U, m, U)), 2)
+    body, calls = _counting_body(fd)
+    density = cf.boundary_density(body, p=1.0)
+    calls["hessian"].clear()
+    points, info = cf.sample_boundary(density, 500, seed=6, return_stats=True)
+    assert sum(calls["hessian"]) == info.proposals
+    # the points lie on the ellipse x^2/4 + y^2 = 1
+    on_curve = points[:, 0] ** 2 / 4.0 + points[:, 1] ** 2
+    assert np.max(np.abs(on_curve - 1.0)) < 1e-6
+
+
 def test_sample_boundary_sizes_round_from_acceptance(ellipse21):
     count = 1000
     density = cf.boundary_density(ellipse21, p=1.0)
@@ -154,12 +186,26 @@ def test_sample_boundary_sizes_round_from_acceptance(ellipse21):
     assert info.proposals <= math.ceil((count + 4.0 * math.sqrt(count)) / rate)
 
 
-@pytest.mark.parametrize("fixture", ["ellipse21", "pball10"])
-def test_expected_deficit_matches_public_calls(request, fixture):
-    # the estimator runs the public sampler and hull on [seed, N, trial]
-    # streams, so a rebuild from those calls gives the same bits
+@pytest.fixture(scope="module")
+def rotated_recentered_ellipse():
+    c, s = math.cos(0.9), math.sin(0.9)
+    body = cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 0.7], [[c, -s], [s, c]]))
+    return cf.recenter(body, [0.3, -0.1])
+
+
+@pytest.mark.parametrize("fixture, n", [
+    pytest.param("ellipse21", 40, id="ellipse21"),
+    pytest.param("pball10", 40, id="pball10"),
+    pytest.param("ball2", 1000, id="ball2-1000"),
+    pytest.param("rotated_recentered_ellipse", 1000, id="rotated-recentered-1000"),
+])
+def test_expected_deficit_matches_public_calls(request, fixture, n):
+    # the estimator draws the public sampler's points on [seed, N, trial]
+    # streams; its angle-sorted shoelace and hull_volume's sort about the
+    # centroid form the same cross products, so a rebuild from the public
+    # calls gives the same bits
     density = cf.boundary_density(request.getfixturevalue(fixture), p=1.0)
-    seed, n, trials = 9, 40, 6
+    seed, trials = 9, 6
     est = cf.expected_deficit(density, n, trials=trials, seed=(seed, n))
     vol = cf.body_volume(density.body, density.rule)
     deficits = [
