@@ -89,7 +89,7 @@ class SupportBody:
     """
 
     __slots__ = ("dim", "label", "support", "gradient", "hessian", "radius",
-                 "_polar", "_cache", "__weakref__")
+                 "_polar", "_cache")
 
     def __init__(self, dim, support, gradient, hessian, label, polar=None,
                  radius=None):
@@ -228,14 +228,11 @@ def make_ellipsoid(dim, matrix, label=None):
     if dim == 2:
         (m00, m01), (m10, m11) = m.tolist()
         det = m00 * m11 - m01 * m10
-        einsum_support = support
 
         def support(U):
+            # u^T M u summed in einsum's term order: the same bits on three
+            # or more rows (einsum pairs the terms below that), and faster
             U = np.asarray(U, dtype=float)
-            if U.size < 6:
-                # below three rows einsum pairs the terms
-                return einsum_support(U)
-            # u^T M u summed in einsum's term order: the same bits, faster
             u0, u1 = U[..., 0], U[..., 1]
             return np.sqrt(u0 * m00 * u0 + u0 * m01 * u1 + u1 * m10 * u0 + u1 * m11 * u1)
 

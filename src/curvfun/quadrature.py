@@ -169,25 +169,13 @@ def integrate(rule, integrand):
         raise ValueError(
             "integrand shape %s does not match rule with %d nodes" % (values.shape, len(rule))
         )
-    # a non-finite value makes the sum non-finite or fsum's inf - inf
-    # error, so the values are scanned for the bad node only then
-    try:
-        total = _exact_sum(values * rule.weights)
-    except ValueError:
-        _check_finite(rule, values)
-        raise
-    if not math.isfinite(total):
-        _check_finite(rule, values)
-    return total
-
-
-def _check_finite(rule, values):
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(
             "non-finite integrand value %r at node %d, u=%s"
             % (values[bad], bad, rule.nodes[bad].tolist())
-        ) from None
+        )
+    return _exact_sum(values * rule.weights)
 
 
 def _exact_sum(p):

@@ -207,7 +207,9 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     always suffices.  Only the target is evaluated on every proposal; the
     boundary points x(u) are computed for accepted rows alone, one round
     at a time.  Planar proposals are drawn as angles, and a planar body's
-    radius oracle, if it has one, replaces the hessian in the target.
+    radius oracle, if it has one, replaces the hessian in the target.  The
+    two agree to rounding (about 1e-14 relative), so only a proposal that
+    close to its acceptance threshold could be decided differently.
 
     seed: int, sequence of ints, or an existing numpy Generator.
     """

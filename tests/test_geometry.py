@@ -158,10 +158,11 @@ def test_polar_body_cached_on_body():
     # the limit runs on the cached polar, whose grid then serves a repeat
     cf.limit_p_zero(body, cf.WeightIndex.zero(3))
     assert cf.default_rule(3) in polar._cache
-    ref = weakref.ref(polar)
+    # the polar, and so its grid, dies with the body
+    grid = weakref.ref(cf.curvature_grid(polar))
     del body, polar
     gc.collect()
-    assert ref() is None
+    assert grid() is None
 
 
 def _rotation(angle):
@@ -214,7 +215,11 @@ def test_ellipse_support_matches_einsum(shape, rng):
         theta = rng.uniform(0.0, 2 * math.pi, shape[:-1])
         U = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         want = np.sqrt(np.einsum("...i,ij,...j->...", U, m, U))
-        assert np.array_equal(body.support(U), want)
+        if U.size >= 6:
+            assert np.array_equal(body.support(U), want)
+        else:
+            # einsum pairs the terms of fewer than three rows: 1 ulp apart
+            assert np.allclose(body.support(U), want, rtol=1e-15, atol=0.0)
 
 
 def test_centroid_and_recenter(ball2):
