@@ -9,10 +9,10 @@ A body K (containing the origin in its interior) is handed around as a
 * the ambient hessian of that extension, whose restriction to the tangent
   plane u^perp has the principal radii of curvature as eigenvalues.
 
-A planar body may also carry a radius oracle, the radius of curvature
-r(u) = h + h'' in closed form.  Only the rejection sampler's target uses
-it, since it is far cheaper than the hessian's tangential form; curvature
-grids, and so every integral, always come from the hessian.
+A planar body may also carry a fused oracle for the pair (h, r), h and the
+radius of curvature r(u) = h + h'' in closed form from shared terms.  Only
+the rejection sampler's target uses it, being far cheaper than the hessian;
+curvature grids, and so every integral, always come from the hessian.
 
 From those we derive the normalized elementary symmetric functions s_j of
 the radii (sphere side) and, by duality, the normalized symmetric functions
@@ -79,29 +79,29 @@ class SupportBody:
 
     The three oracles accept arrays of shape (..., dim) of unit vectors:
         support -> (...,), gradient -> (..., dim), hessian -> (..., dim, dim).
-    A planar body may also give radius -> (...,), the radius of curvature
-    h + h'' (the hessian's tangential form) in closed form, or None.  The
-    sampler's target density uses it; curvature grids do not.
+    A planar body may also give support_radius -> (h, r), support's values
+    bit for bit and the radius of curvature h + h'' (the hessian's
+    tangential form) in closed form, or None.  The sampler's target uses it.
     Instances are immutable by convention and hash by identity.  Results
     computed from the oracles (curvature grids and equality labels per
     rule, functional values per index, p and rule) are kept in the private
     _cache dict, so they live exactly as long as the body.
     """
 
-    __slots__ = ("dim", "label", "support", "gradient", "hessian", "radius",
-                 "_polar", "_cache")
+    __slots__ = ("dim", "label", "support", "gradient", "hessian",
+                 "support_radius", "_polar", "_cache")
 
     def __init__(self, dim, support, gradient, hessian, label, polar=None,
-                 radius=None):
+                 support_radius=None):
         if dim not in (2, 3):
             raise ValueError("only dimensions 2 and 3 are supported")
-        if radius is not None and dim != 2:
+        if support_radius is not None and dim != 2:
             raise ValueError("a radius oracle is only defined in dimension 2")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "gradient", gradient)
         object.__setattr__(self, "hessian", hessian)
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "support_radius", support_radius)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_polar", polar)
         object.__setattr__(self, "_cache", {})
@@ -166,9 +166,10 @@ def make_ball(dim, radius=1.0, label=None):
 
     if label is None:
         label = "ball%d(r=%g)" % (dim, r)
+    # in the plane the radius of curvature is R too: (h, r) = (R, R)
     return SupportBody(dim, support, gradient, hessian, label,
                        polar=lambda: make_ball(dim, 1.0 / r),
-                       radius=support if dim == 2 else None)
+                       support_radius=(lambda U: (support(U),) * 2) if dim == 2 else None)
 
 
 def ellipsoid_matrix(semi_axes, rotation=None):
@@ -224,7 +225,7 @@ def make_ellipsoid(dim, matrix, label=None):
         outer = mu[..., :, None] * mu[..., None, :]
         return (m - outer / (h * h)[..., None, None]) / h[..., None, None]
 
-    radius = None
+    support_radius = None
     if dim == 2:
         (m00, m01), (m10, m11) = m.tolist()
         det = m00 * m11 - m01 * m10
@@ -236,16 +237,26 @@ def make_ellipsoid(dim, matrix, label=None):
             u0, u1 = U[..., 0], U[..., 1]
             return np.sqrt(u0 * m00 * u0 + u0 * m01 * u1 + u1 * m10 * u0 + u1 * m11 * u1)
 
-        def radius(U):
+        def gradient(U):
+            # M u and u . M u as two-term sums: the same bits as the einsum
+            # form above, whose sums have two terms too
+            U = np.asarray(U, dtype=float)
+            u0, u1 = U[..., 0], U[..., 1]
+            mu0 = m00 * u0 + m01 * u1
+            mu1 = m10 * u0 + m11 * u1
+            h = np.sqrt(u0 * mu0 + u1 * mu1)
+            return np.stack([mu0 / h, mu1 / h], axis=-1)
+
+        def support_radius(U):
             h = support(U)
-            return det / (h * h * h)
+            return h, det / (h * h * h)
 
     if label is None:
         axes = np.sqrt(np.sort(eigs)[::-1])
         label = "ellipsoid%d(%s)" % (dim, ",".join("%g" % v for v in axes))
     return SupportBody(dim, support, gradient, hessian, label,
                        polar=lambda: make_ellipsoid(dim, np.linalg.inv(m)),
-                       radius=radius)
+                       support_radius=support_radius)
 
 
 # the dim-3 perturbation mode 3: the odd degree-3 sectoral harmonic
@@ -333,18 +344,19 @@ def _perturbed_disk(mode, eps, label):
         tang = np.stack([-U[..., 1], U[..., 0]], axis=-1)
         return h[..., None] * U + hp[..., None] * tang
 
-    def radius(U):
-        return 1.0 + eps * (1.0 - L * L) * np.cos(L * _theta(U))  # h + h''
+    def support_radius(U):
+        c = np.cos(L * _theta(U))
+        return 1.0 + eps * c, 1.0 + eps * (1.0 - L * L) * c  # (h, h + h'')
 
     def hessian(U):
         U = np.asarray(U, dtype=float)
-        r = radius(U)
+        r = support_radius(U)[1]
         tang = np.stack([-U[..., 1], U[..., 0]], axis=-1)
         return r[..., None, None] * (tang[..., :, None] * tang[..., None, :])
 
     if label is None:
         label = "pert2(L=%d,eps=%g)" % (L, eps)
-    return SupportBody(2, support, gradient, hessian, label, radius=radius)
+    return SupportBody(2, support, gradient, hessian, label, support_radius=support_radius)
 
 
 def _perturbed_ball3(eps, label):
@@ -464,26 +476,21 @@ def _check_positive(body, U, h, radii, min_radius=MIN_RADIUS, note=""):
             % (h[idx], U[idx].tolist(), body.label, note))
 
 
-def _curvature_core(body, U, check, use_radius=False):
-    # curvature_arrays without the boundary points: (h, radii, s, H); with
-    # use_radius, a planar body's radius oracle, if any, replaces the hessian
+def _curvature_core(body, U, check):
+    # curvature_arrays without the boundary points: (h, radii, s, H)
     h = np.asarray(body.support(U), dtype=float)
+    hess = np.asarray(body.hessian(U), dtype=float)
     if body.dim == 2:
-        if use_radius and body.radius is not None:
-            r = np.asarray(body.radius(U), dtype=float)
-        else:
-            # t^T hess t for the tangent t = (-u1, u0), summed in einsum's
-            # term order: bitwise equal to einsum("li,lij,lj->l") on two or
-            # more rows (einsum pairs the terms for a single row), and faster
-            hess = np.asarray(body.hessian(U), dtype=float)
-            t0, t1 = -U[:, 1], U[:, 0]
-            r = (t0 * hess[:, 0, 0] * t0 + t0 * hess[:, 0, 1] * t1
-                 + t1 * hess[:, 1, 0] * t0 + t1 * hess[:, 1, 1] * t1)
+        # t^T hess t for the tangent t = (-u1, u0), summed in einsum's term
+        # order: bitwise equal to einsum("li,lij,lj->l") on two or more rows
+        # (einsum pairs the terms for a single row), and faster
+        t0, t1 = -U[:, 1], U[:, 0]
+        r = (t0 * hess[:, 0, 0] * t0 + t0 * hess[:, 0, 1] * t1
+             + t1 * hess[:, 1, 0] * t0 + t1 * hess[:, 1, 1] * t1)
         radii = r[:, None]
         s_top = r
         s = np.stack([np.ones_like(r), r], axis=1)
     else:
-        hess = np.asarray(body.hessian(U), dtype=float)
         t1, t2 = _tangent_frames(U)
         b11 = np.einsum("li,lij,lj->l", t1, hess, t1)
         b12 = np.einsum("li,lij,lj->l", t1, hess, t2)
@@ -614,19 +621,21 @@ def recenter(body, c, rule=None):
     if c.shape != (body.dim,):
         raise ValueError("center shape %s does not match dim %d" % (c.shape, body.dim))
 
-    inner_support = body.support
-    inner_gradient = body.gradient
-
     def support(U):
         U = np.asarray(U, dtype=float)
-        return inner_support(U) - U @ c
+        return body.support(U) - U @ c
 
     def gradient(U):
-        return inner_gradient(U) - c
+        return body.gradient(U) - c
+
+    def support_radius(U):
+        U = np.asarray(U, dtype=float)
+        h, r = body.support_radius(U)
+        return h - U @ c, r
 
     out = SupportBody(body.dim, support, gradient, body.hessian,
                       "%s-%s" % (body.label, np.round(c, 12).tolist()),
-                      radius=body.radius)
+                      support_radius=body.support_radius and support_radius)
     if rule is None:
         rule = default_rule(body.dim)
     h = out.support(rule.nodes)
@@ -648,53 +657,46 @@ def transform(body, arg):
         a = float(arg)
         if a <= 0:
             raise ValueError("scale factor must be positive, got %g" % a)
-        inner = body
+        label, polar_arg = "%s*%g" % (body.label, a), 1.0 / a
 
         def support(U):
-            return a * inner.support(U)
+            return a * body.support(U)
 
         def gradient(U):
-            return a * inner.gradient(U)
+            return a * body.gradient(U)
 
         def hessian(U):
-            return a * inner.hessian(U)
+            return a * body.hessian(U)
 
-        radius = None
-        if inner.radius is not None:
-            radius = lambda U: a * inner.radius(U)
+        def support_radius(U):
+            h, r = body.support_radius(U)
+            return a * h, a * r
+    else:
+        q = np.asarray(arg, dtype=float)
+        _check_orthogonal(q, body.dim)
+        label, polar_arg = "%s@rot" % body.label, q
 
-        polar = None
-        if inner._polar is not None:
-            polar = lambda: transform(inner._polar(), 1.0 / a)
-        return SupportBody(body.dim, support, gradient, hessian,
-                           "%s*%g" % (body.label, a), polar=polar, radius=radius)
+        def support(U):
+            U = np.asarray(U, dtype=float)
+            return body.support(U @ q)  # U @ q has rows Q^T u
 
-    q = np.asarray(arg, dtype=float)
-    _check_orthogonal(q, body.dim)
-    inner = body
+        def gradient(U):
+            U = np.asarray(U, dtype=float)
+            return body.gradient(U @ q) @ q.T
 
-    def support(U):
-        U = np.asarray(U, dtype=float)
-        return inner.support(U @ q)  # U @ q has rows Q^T u
+        def hessian(U):
+            U = np.asarray(U, dtype=float)
+            hin = body.hessian(U @ q)
+            return np.einsum("ij,...jk,lk->...il", q, hin, q)
 
-    def gradient(U):
-        U = np.asarray(U, dtype=float)
-        return inner.gradient(U @ q) @ q.T
-
-    def hessian(U):
-        U = np.asarray(U, dtype=float)
-        hin = inner.hessian(U @ q)
-        return np.einsum("ij,...jk,lk->...il", q, hin, q)
-
-    radius = None
-    if inner.radius is not None:
-        radius = lambda U: inner.radius(np.asarray(U, dtype=float) @ q)
+        def support_radius(U):
+            return body.support_radius(np.asarray(U, dtype=float) @ q)
 
     polar = None
-    if inner._polar is not None:
-        polar = lambda: transform(inner._polar(), q)
-    return SupportBody(body.dim, support, gradient, hessian,
-                       "%s@rot" % body.label, polar=polar, radius=radius)
+    if body._polar is not None:
+        polar = lambda: transform(body._polar(), polar_arg)
+    return SupportBody(body.dim, support, gradient, hessian, label, polar=polar,
+                       support_radius=body.support_radius and support_radius)
 
 
 def _check_orthogonal(q, dim):

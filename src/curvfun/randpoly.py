@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._extrap import neville_to_zero
+from ._extrap import neville_to_zero, neville_weights
 from .functionals import WeightIndex, _power, _validate_p, asa_exponents, weighted_asa
-from .geometry import _curvature_core, body_volume, curvature_grid
+from .geometry import _check_positive, _curvature_core, body_volume, curvature_grid
 from .quadrature import _exact_sum, default_rule, integrate, sphere_area
 
 __all__ = [
@@ -61,18 +61,19 @@ def random_polytope_constant(dim):
     return num / den
 
 
-def _density_values(h, s, H, index, p):
-    # f at boundary points with normals u, from sphere-side curvature data:
-    # a Gauss-curvature power times the inverse square-root of the weight
-    # bracket, times a support power.  All bases are strictly positive.
+def _density_values(h, s, index, p):
+    # f at boundary points with normals u, from sphere-side curvature data
+    # s = (s_0, ..., s_{n-1}), given as columns: a Gauss-curvature power times
+    # the inverse square-root of the weight bracket (in the duals H_j =
+    # s_{n-1-j} / s_{n-1}), times a support power.  All bases are positive.
     n = index.dim
     _, beta = asa_exponents(n, p)
     e_top = (2.0 * p + n * (1.0 - p)) / (2.0 * (n + p))
-    vals = _power(s[:, -1], -e_top)
+    vals = _power(s[-1], -e_top)
     vals = vals * _power(h, (beta + index.k - index.m) * (n - 1.0) / 2.0)
     for j, v in enumerate(index.i, start=1):
         if v:
-            vals = vals * _power(H[:, j], -v * (n - 1.0) / 2.0)
+            vals = vals * _power(s[n - 1 - j] / s[-1], -v * (n - 1.0) / 2.0)
     cn = float(index.c_n)
     if cn != 1.0:
         vals = vals * cn ** (-(n - 1.0) / 2.0)
@@ -102,12 +103,18 @@ class BoundaryDensity:
     def target(self, U):
         """Sphere-side density f(x(u)) * s_{n-1}(u) at unit directions U.
 
-        A planar body's radius oracle, if it has one, gives s_1 here; the
-        tabulated values come from the hessian, like every curvature grid.
+        A planar body's fused oracle, if it has one, gives h and s_1 in one
+        call; the tabulated values come from the hessian, like every grid.
         """
-        h, _, s, H = _curvature_core(self.body, np.asarray(U, dtype=float),
-                                     check=True, use_radius=True)
-        return _density_values(h, s, H, self.index, self.p) * s[:, -1]
+        U = np.asarray(U, dtype=float)
+        if self.body.support_radius is None:
+            h, _, s, _ = _curvature_core(self.body, U, check=True)
+            s = s.T
+        else:
+            h, r = (np.asarray(v, dtype=float) for v in self.body.support_radius(U))
+            _check_positive(self.body, U, h, r[:, None])
+            s = (1.0, r)
+        return _density_values(h, s, self.index, self.p) * s[-1]
 
 
 def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
@@ -134,7 +141,7 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     if rule is None:
         rule = default_rule(body.dim)
     g = curvature_grid(body, rule)
-    f = _density_values(g.h, g.s, g.H, index, p)
+    f = _density_values(g.h, g.s.T, index, p)
     sphere = f * g.s_top
     z = integrate(rule, sphere)
     env = float(safety) * float(np.max(sphere))
@@ -207,9 +214,9 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     always suffices.  Only the target is evaluated on every proposal; the
     boundary points x(u) are computed for accepted rows alone, one round
     at a time.  Planar proposals are drawn as angles, and a planar body's
-    radius oracle, if it has one, replaces the hessian in the target.  The
-    two agree to rounding (about 1e-14 relative), so only a proposal that
-    close to its acceptance threshold could be decided differently.
+    fused support_radius oracle, if any, replaces support and the hessian
+    in the target.  The radii agree to rounding (about 1e-14 relative), so
+    only a proposal that close to its threshold could be decided otherwise.
 
     seed: int, sequence of ints, or an existing numpy Generator.
     """
@@ -303,8 +310,12 @@ def hull_volume(points):
 
 def _shoelace(pts):
     # area of the polygon whose vertices are the rows of pts in cyclic order
+    # the cross products of consecutive vertices, the wrap term last: the
+    # sum is correctly rounded, so their order does not matter
     xs, ys = pts[:, 0], pts[:, 1]
-    cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
+    cross = np.empty_like(xs)
+    np.subtract(xs[:-1] * ys[1:], xs[1:] * ys[:-1], out=cross[:-1])
+    cross[-1] = xs[-1] * ys[0] - xs[0] * ys[-1]
     area = 0.5 * abs(_exact_sum(cross))
     return HullResult(area, area == 0.0)
 
@@ -364,7 +375,12 @@ def expected_deficit(density, n_points, trials=256, seed=0):
 
 @dataclass(frozen=True)
 class MCInterpretation:
-    """Extrapolated deficit constant next to its closed-form target."""
+    """Extrapolated deficit constant next to its closed-form target.
+
+    extrapolated_stderr is the standard error of extrapolated: the scaled
+    standard errors of the estimates, independent across N, propagated
+    through the Neville weights at 0.
+    """
 
     body_label: str
     p: float
@@ -374,6 +390,7 @@ class MCInterpretation:
     seed: int
     estimates: tuple
     extrapolated: float
+    extrapolated_stderr: float
     target: float
     rel_error: float
     constant: float
@@ -411,6 +428,8 @@ def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
     xs = [nn ** -expo for nn in sched]
     ys = [est.scaled_mean for est in estimates]
     extrapolated = neville_to_zero(xs, ys)
+    extrapolated_stderr = math.sqrt(math.fsum(
+        (w * est.scaled_stderr) ** 2 for w, est in zip(neville_weights(xs), estimates)))
     omega = weighted_asa(body, density.index, density.p, density.rule).value
     cn = random_polytope_constant(body.dim)
     target = cn * density.normalizer ** expo * omega
@@ -419,5 +438,6 @@ def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
                             index=density.index, n_schedule=sched,
                             trials=int(trials), seed=int(seed),
                             estimates=estimates, extrapolated=extrapolated,
+                            extrapolated_stderr=extrapolated_stderr,
                             target=target, rel_error=rel, constant=cn,
                             normalizer=density.normalizer, functional=omega)

@@ -189,7 +189,9 @@ def test_radius_oracle_matches_hessian(name, rng):
     body = _RADIUS_BODIES[name]()
     theta = rng.uniform(0.0, 2 * math.pi, 4000)
     U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    r = body.radius(U)
+    h, r = body.support_radius(U)
+    # the fused oracle's h is the support oracle's, bit for bit
+    assert np.array_equal(h, body.support(U))
     # curvature_arrays takes the radius from the hessian's tangential form
     _, _, radii, _, _ = cf.curvature_arrays(body, U)
     assert r.shape == (4000,)
@@ -198,11 +200,11 @@ def test_radius_oracle_matches_hessian(name, rng):
 
 def test_radius_oracle_only_in_the_plane(ellipsoid211, ball3, pball3d):
     for body in (ellipsoid211, ball3, pball3d):
-        assert body.radius is None
-    assert cf.from_support(lambda U: np.ones(U.shape[:-1]), 2).radius is None
+        assert body.support_radius is None
+    assert cf.from_support(lambda U: np.ones(U.shape[:-1]), 2).support_radius is None
     with pytest.raises(ValueError, match="dimension 2"):
         cf.SupportBody(3, ball3.support, ball3.gradient, ball3.hessian, "b",
-                       radius=ball3.support)
+                       support_radius=lambda U: (ball3.support(U), ball3.support(U)))
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 2), (3, 2), (7, 2), (4000, 2),
@@ -220,6 +222,20 @@ def test_ellipse_support_matches_einsum(shape, rng):
         else:
             # einsum pairs the terms of fewer than three rows: 1 ulp apart
             assert np.allclose(body.support(U), want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (2, 2), (3, 2), (4000, 2), (3, 5, 2)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_ellipse_gradient_matches_einsum(shape, rng):
+    m = np.array([[2.2, -0.7], [-0.7, 0.9]])
+    body = cf.make_ellipsoid(2, m)
+    for _ in range(50):
+        theta = rng.uniform(0.0, 2 * math.pi, shape[:-1])
+        U = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        # the general-dimension form: every sum has two terms either way
+        mu = np.einsum("ij,...j->...i", m, U)
+        h = np.sqrt(np.einsum("...i,...i->...", U, mu))
+        assert np.array_equal(body.gradient(U), mu / h[..., None])
 
 
 def test_centroid_and_recenter(ball2):

@@ -9,6 +9,7 @@ from scipy import stats
 
 import curvfun as cf
 from curvfun import randpoly
+from curvfun._extrap import neville_weights
 
 
 def test_limit_constant_values():
@@ -111,10 +112,14 @@ def test_envelope_violation_from_coarse_rule():
     assert points.shape == (200, 2)
 
 
-def _counting_body(body, radius=None):
-    # the body's own oracles, with the rows each gradient and hessian call
-    # receives recorded; radius is passed on as the radius oracle
-    calls = {"gradient": [], "hessian": []}
+def _counting_body(body, support_radius=None):
+    # the body's own oracles, with the rows each call receives recorded;
+    # support_radius, if given, is counted and passed on as the fused oracle
+    calls = {"support": [], "gradient": [], "hessian": [], "support_radius": []}
+
+    def support(U):
+        calls["support"].append(len(U))
+        return body.support(U)
 
     def gradient(U):
         calls["gradient"].append(len(U))
@@ -124,8 +129,12 @@ def _counting_body(body, radius=None):
         calls["hessian"].append(len(U))
         return body.hessian(U)
 
-    counted = cf.SupportBody(body.dim, body.support, gradient, hessian, body.label,
-                             radius=radius)
+    def pair(U):
+        calls["support_radius"].append(len(U))
+        return support_radius(U)
+
+    counted = cf.SupportBody(body.dim, support, gradient, hessian, body.label,
+                             support_radius=support_radius and pair)
     return counted, calls
 
 
@@ -147,7 +156,7 @@ def test_sample_boundary_maps_only_accepted_rows(ellipse21, count):
 
 
 def test_sample_boundary_with_radius_oracle_skips_hessian(ellipse21):
-    body, calls = _counting_body(ellipse21, radius=ellipse21.radius)
+    body, calls = _counting_body(ellipse21, support_radius=ellipse21.support_radius)
     density = cf.boundary_density(body, p=1.0)
     # the tabulated density comes from the hessian, the target does not
     assert sum(calls["hessian"]) == 512
@@ -161,6 +170,22 @@ def test_sample_boundary_with_radius_oracle_skips_hessian(ellipse21):
     hessian_only, _ = _counting_body(ellipse21)
     plain = cf.boundary_density(hessian_only, p=1.0)
     assert np.array_equal(points, cf.sample_boundary(plain, 70000, seed=4))
+
+
+@pytest.mark.parametrize("fixture", ["ball2", "ellipse21", "pball10"])
+def test_sampler_round_calls_fused_oracle_once(request, fixture):
+    base = request.getfixturevalue(fixture)
+    body, calls = _counting_body(base, support_radius=base.support_radius)
+    density = cf.boundary_density(body, p=1.0)
+    for rows in calls.values():
+        rows.clear()
+    _, info = cf.sample_boundary(density, 1000, seed=4, return_stats=True)
+    # one round: the fused oracle sees every proposal in one call, and the
+    # target asks neither support nor hessian
+    assert calls["support_radius"] == [info.proposals]
+    assert calls["support"] == []
+    assert calls["hessian"] == []
+    assert sum(calls["gradient"]) == info.accepted
 
 
 def test_sample_boundary_from_support_uses_hessian():
@@ -288,6 +313,22 @@ def test_interpretation_check_disk(ball2):
     assert out.rel_error < 0.1
     assert out.constant == pytest.approx(0.5)
     assert len(out.estimates) == 3
+
+
+def test_extrapolated_stderr_from_neville_weights(ball2):
+    # criterion 9's schedule in the plane, x = N^-2: weights 0.0222, -0.444
+    # and 1.422, a noise gain of about 1.49
+    w = neville_weights([nn ** -2.0 for nn in (1000, 2000, 4000)])
+    assert w == pytest.approx([1 / 45, -4 / 9, 64 / 45], rel=1e-12)
+    out = cf.interpretation_check(ball2, p=1.0, n_schedule=(100, 200, 400),
+                                  trials=50, seed=5)
+    w = neville_weights([nn ** -2.0 for nn in out.n_schedule])
+    ests = out.estimates
+    # the weights reproduce the Neville value and carry the error bars
+    assert out.extrapolated == pytest.approx(
+        sum(wi * e.scaled_mean for wi, e in zip(w, ests)), rel=1e-12)
+    assert out.extrapolated_stderr == pytest.approx(
+        math.sqrt(sum((wi * e.scaled_stderr) ** 2 for wi, e in zip(w, ests))), rel=1e-12)
 
 
 def test_interpretation_check_dim3_gate(ball3):
