@@ -432,7 +432,7 @@ def _cmd_mc_polytope(args):
     records.append({
         "N": "inf",
         "mean_deficit": "",
-        "stderr": "",
+        "stderr": check.extrapolated_stderr,
         "scaled": check.extrapolated,
         "target": check.target,
         "ratio": check.extrapolated / check.target,

@@ -70,7 +70,9 @@ def _density_values(h, s, index, p):
     _, beta = asa_exponents(n, p)
     e_top = (2.0 * p + n * (1.0 - p)) / (2.0 * (n + p))
     vals = _power(s[-1], -e_top)
-    vals = vals * _power(h, (beta + index.k - index.m) * (n - 1.0) / 2.0)
+    e_h = (beta + index.k - index.m) * (n - 1.0) / 2.0
+    if e_h != 0.0:
+        vals = vals * _power(h, e_h)
     for j, v in enumerate(index.i, start=1):
         if v:
             vals = vals * _power(s[n - 1 - j] / s[-1], -v * (n - 1.0) / 2.0)
@@ -88,6 +90,14 @@ class BoundaryDensity:
     same density transported to the sphere, which is what the rejection
     sampler bounds.  normalizer is the total mass of f over the boundary,
     so f / normalizer is a probability density.
+
+    envelope bounds the sphere-side density.  In space it is the bound
+    everywhere.  In the plane the bound is piecewise constant over the arcs
+    between consecutive rule nodes, taken in angle order: arc k's height is
+    envelope times the largest sphere_values among its two end nodes and
+    their outer neighbours, over max(sphere_values).  The arcs and an alias
+    table over their masses are built from the fields on construction, so
+    dataclasses.replace(density, envelope=...) rescales every height.
     """
 
     body: object
@@ -99,6 +109,28 @@ class BoundaryDensity:
     normalizer: float
     envelope: float
     safety: float
+
+    def __post_init__(self):
+        # _mass is the envelope's integral over the sphere; _arcs holds the
+        # planar arcs as rows (start angle, width, height) and the alias
+        # table as (index + acceptance threshold, alias) per arc
+        if self.body.dim != 2:
+            object.__setattr__(self, "_arcs", None)
+            object.__setattr__(self, "_mass", self.envelope * sphere_area(self.body.dim))
+            return
+        nodes = self.rule.nodes
+        angle = np.mod(np.arctan2(nodes[:, 1], nodes[:, 0]), 2.0 * math.pi)
+        order = np.argsort(angle)
+        start = np.take(angle, order)
+        width = np.diff(start, append=start[0] + 2.0 * math.pi)
+        v = np.take(self.sphere_values, order)
+        peak = np.maximum(np.maximum(np.roll(v, 1), v),
+                          np.maximum(np.roll(v, -1), np.roll(v, -2)))
+        height = self.envelope * (peak / np.max(v))
+        mass = height * width
+        object.__setattr__(self, "_arcs", (np.stack([start, width, height]),
+                                           *_alias_table(mass)))
+        object.__setattr__(self, "_mass", float(np.sum(mass)))
 
     def target(self, U):
         """Sphere-side density f(x(u)) * s_{n-1}(u) at unit directions U.
@@ -121,7 +153,11 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     """Tabulate the matched boundary density for (index, p) on a rule.
 
     The rejection envelope is safety times the largest sphere-side value
-    seen at the rule nodes; a coarse rule can understate the true maximum,
+    seen at the rule nodes.  In the plane it is refined to one height per
+    arc between consecutive nodes, safety times the largest value at the
+    arc's end nodes and their outer neighbours (see BoundaryDensity), so
+    acceptance is about 1/safety whatever the body's shape; in space the
+    single bound stays.  A coarse rule can understate the true maximum,
     which the sampler later reports as an EnvelopeError.
 
     Raises:
@@ -187,36 +223,74 @@ class SampleStats(NamedTuple):
 _ROUND_ROWS = 1 << 16
 
 
-def _uniform_directions(rng, dim, count):
-    # unit directions and, in the plane, their angles in [0, 2 pi)
-    if dim == 2:
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1), theta
+def _alias_table(mass):
+    # Walker's alias table for drawing index k with probability proportional
+    # to mass[k], built by Vose's method: x = K * uniform picks j = floor(x),
+    # then j itself if x < thresh[j], else alias[j]
+    K = len(mass)
+    scaled = (mass * (K / np.sum(mass))).tolist()
+    prob = [1.0] * K
+    alias = list(range(K))
+    small = [k for k in range(K) if scaled[k] < 1.0]
+    large = [k for k in range(K) if scaled[k] >= 1.0]
+    while small and large:
+        lo, hi = small.pop(), large.pop()
+        prob[lo], alias[lo] = scaled[lo], hi
+        scaled[hi] += scaled[lo] - 1.0
+        (small if scaled[hi] < 1.0 else large).append(hi)
+    return np.arange(K) + np.array(prob), np.array(alias, dtype=np.intp)
+
+
+def _arc_proposals(rng, arcs, count):
+    # planar proposals under the arc envelope: an arc from the alias table,
+    # an angle uniform in it; returns the directions, their angles, the
+    # envelope height at each and the uniforms that decide acceptance.
+    # x < K always: the largest uniform, 1 - 2^-53, times K rounds below K
+    table, thresh, alias = arcs
+    x, within, u = rng.random((3, count))
+    x *= len(alias)
+    j = x.astype(np.intp)
+    k = np.where(x < np.take(thresh, j), j, np.take(alias, j))
+    start, width, height = np.take(table, k, axis=1)
+    theta = start + within * width
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1), theta, height, u
+
+
+def _uniform_directions(rng, count):
+    # uniform unit directions on S^2
     g = rng.standard_normal((count, 3))
     norms = np.linalg.norm(g, axis=1)
     ok = norms > 1e-12
     if not np.all(ok):
         g, norms = g[ok], norms[ok]
-    return g / norms[:, None], None
+    return g / norms[:, None]
 
 
 def sample_boundary(density, count, seed=None, return_stats=False):
     """Draw boundary points distributed as f / normalizer by rejection.
 
-    Proposals are uniform directions; a proposal u is kept with probability
-    target(u) / envelope and mapped to the boundary point x(u).  If the
-    true target ever exceeds the envelope (the rule max was understated),
-    an EnvelopeError is raised rather than silently skewing the sample.
+    Proposals are drawn from the envelope; a proposal u is kept with
+    probability target(u) / (envelope height at u) and mapped to the
+    boundary point x(u).  If the true target ever exceeds the envelope
+    (the rule max was understated), an EnvelopeError is raised rather
+    than silently skewing the sample.  In space proposals are uniform
+    directions under the one bound density.envelope.  In the plane each
+    proposal draws its arc of the piecewise-constant envelope from a
+    Walker alias table over the arc masses, then an angle uniform in the
+    arc, and is tested against that arc's height, so acceptance is about
+    1/safety.  This planar stream differs from earlier 0.1.0 builds, which
+    drew angles uniformly under the one bound; the spatial stream is
+    unchanged.
 
-    The acceptance rate is known in advance, normalizer / (envelope *
-    |S^(n-1)|), so each round draws (need + 4 sqrt(need)) / rate proposals
-    for the need points still missing, at most 65536; one round almost
-    always suffices.  Only the target is evaluated on every proposal; the
-    boundary points x(u) are computed for accepted rows alone, one round
-    at a time.  Planar proposals are drawn as angles, and a planar body's
-    fused support_radius oracle, if any, replaces support and the hessian
-    in the target.  The radii agree to rounding (about 1e-14 relative), so
-    only a proposal that close to its threshold could be decided otherwise.
+    The acceptance rate is known in advance, normalizer over the
+    envelope's integral over the sphere, so each round draws (need + 4
+    sqrt(need)) / rate proposals for the need points still missing, at
+    most 65536; one round almost always suffices.  Only the target is
+    evaluated on every proposal; the boundary points x(u) are computed for
+    accepted rows alone, one round at a time.  A planar body's fused
+    support_radius oracle, if any, replaces support and the hessian in the
+    target.  The radii agree to rounding (about 1e-14 relative), so only a
+    proposal that close to its threshold could be decided otherwise.
 
     seed: int, sequence of ints, or an existing numpy Generator.
     """
@@ -234,8 +308,7 @@ def _sample(density, count, rng):
     # sample_boundary's rejection rounds: the first count accepted points in
     # draw order, their proposal angles in 2-D (None in 3-D), and the stats
     body = density.body
-    env = density.envelope
-    rate = density.normalizer / (env * sphere_area(body.dim))
+    rate = density.normalizer / density._mass
     chunks = []
     angles = []
     accepted = 0
@@ -248,27 +321,34 @@ def _sample(density, count, rng):
                 % (proposals, accepted))
         need = count - accepted
         batch = min(_ROUND_ROWS, math.ceil((need + 4.0 * math.sqrt(need)) / rate))
-        U, theta = _uniform_directions(rng, body.dim, batch)
+        if density._arcs is None:
+            U, theta = _uniform_directions(rng, batch), None
+            env = np.full(U.shape[0], density.envelope)
+            u = rng.random(U.shape[0])
+        else:
+            U, theta, env, u = _arc_proposals(rng, density._arcs, batch)
         m = U.shape[0]
         t = density.target(U)
-        worst = int(np.argmax(t))
-        if t[worst] > env:
+        over = t - env
+        worst = int(np.argmax(over))
+        if over[worst] > 0.0:
             raise EnvelopeError(
                 "density %.6g exceeds envelope %.6g at u=%s; rebuild with a"
                 " finer rule or a larger safety factor"
-                % (t[worst], env, U[worst].tolist()))
-        keep = rng.random(m) * env < t
+                % (t[worst], env[worst], U[worst].tolist()))
+        keep = u * env < t
         proposals += m
         kept = int(np.count_nonzero(keep))
         if kept:
-            chunks.append(np.asarray(body.gradient(U[keep]), dtype=float))
+            chunks.append(np.asarray(body.gradient(np.compress(keep, U, axis=0)),
+                                     dtype=float))
             if theta is not None:
-                angles.append(theta[keep])
+                angles.append(np.compress(keep, theta))
             accepted += kept
     points = np.concatenate(chunks, axis=0)[:count]
     theta = np.concatenate(angles)[:count] if angles else None
     stats = SampleStats(accepted=accepted, proposals=proposals,
-                        acceptance_rate=accepted / proposals, envelope=env)
+                        acceptance_rate=accepted / proposals, envelope=density.envelope)
     return points, theta, stats
 
 
@@ -296,7 +376,7 @@ def hull_volume(points):
     if n == 2:
         c = pts.mean(axis=0)
         ang = np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
-        return _shoelace(pts[np.argsort(ang)])
+        return _shoelace(np.take(pts, np.argsort(ang), axis=0))
     # imported here: scipy.spatial is most of the package's import time
     # and only the spatial branch needs it
     from scipy.spatial import ConvexHull, QhullError
@@ -358,7 +438,7 @@ def expected_deficit(density, n_points, trials=256, seed=0):
         rng = np.random.default_rng([*base, t])
         if planar:
             points, theta, _ = _sample(density, n_points, rng)
-            res = _shoelace(points[np.argsort(theta)])
+            res = _shoelace(np.take(points, np.argsort(theta), axis=0))
         else:
             res = hull_volume(sample_boundary(density, n_points, seed=rng))
         degenerate += res.degenerate

@@ -285,6 +285,8 @@ def test_mc_polytope_csv(corpus_dir, capsys):
     assert abs(target - 4 * math.pi ** 3) < 1e-9
     assert float(rows[-1]["ratio"]) == pytest.approx(
         float(rows[-1]["scaled"]) / target)
+    # the N = inf row carries the extrapolated constant's standard error
+    assert float(rows[-1]["stderr"]) > 0.0
 
 
 def test_mc_polytope_deterministic(corpus_dir, capsys):

@@ -211,6 +211,36 @@ def test_sample_boundary_sizes_round_from_acceptance(ellipse21):
     assert info.proposals <= math.ceil((count + 4.0 * math.sqrt(count)) / rate)
 
 
+@pytest.mark.parametrize("fixture", ["ellipse21", "pball10"])
+def test_planar_sampling_law(request, fixture):
+    # the sampled normal angles follow the target density: KS test against
+    # the CDF of target tabulated on a fine grid (trapezoid cumulative sum)
+    density = cf.boundary_density(request.getfixturevalue(fixture), p=1.0)
+    points, theta, info = randpoly._sample(density, 20000, np.random.default_rng(17))
+    assert points.shape == (20000, 2)
+    grid = np.linspace(0.0, 2.0 * math.pi, (1 << 16) + 1)
+    f = density.target(np.stack([np.cos(grid), np.sin(grid)], axis=1))
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))])
+    cdf /= cdf[-1]
+    res = stats.kstest(np.mod(theta, 2.0 * math.pi), lambda x: np.interp(x, grid, cdf))
+    assert res.pvalue > 0.01
+    # the arc envelope accepts about 1/safety of the proposals; one global
+    # bound accepted 1/3 on the ellipse and 0.43 on the perturbed disk
+    assert info.acceptance_rate >= 0.6
+
+
+def test_sample_boundary_ignores_rule_node_order(ellipse21, pball10):
+    # arcs are built from the sorted node angles, so a rule holding the
+    # same nodes and weights in another order samples the same points
+    rule = cf.circle_rule(512)
+    perm = np.random.default_rng(3).permutation(512)
+    shuffled = cf.SphereRule(2, rule.nodes[perm], rule.weights[perm], rule.name)
+    for body in (ellipse21, pball10):
+        want = cf.sample_boundary(cf.boundary_density(body, p=1.0, rule=rule), 3000, seed=8)
+        got = cf.sample_boundary(cf.boundary_density(body, p=1.0, rule=shuffled), 3000, seed=8)
+        assert np.array_equal(got, want)
+
+
 @pytest.fixture(scope="module")
 def rotated_recentered_ellipse():
     c, s = math.cos(0.9), math.sin(0.9)

@@ -1,11 +1,14 @@
-"""Print SHA-256 digests of the 2-D Monte Carlo stream, for same-bits checks.
+"""Print SHA-256 digests of the Monte Carlo streams, for same-bits checks.
 
-Two digests, each over exact float64 bits (float.hex):
+Each digest is over exact float64 bits (float.hex):
 
 * ``means``: the per-N mean deficits of ``interpretation_check`` at fixed
   seeds (schedule 250/500/1000, 12 trials, p = 1 and 0.5) on the disk, the
   2:1 ellipse, the eps = 0.1 (L = 3) and L = 5 perturbed disks, and a
-  rotated recentered ellipse;
+  rotated recentered ellipse; one line per body follows, with that body's
+  digest and the sampler's acceptance rate (p = 1, 20 000 points, seed 0);
+* ``means3d``: the same per-N means on the 2:1:1 ellipsoid and the ball in
+  space (schedule 8/12/16, 12 trials, p = 1);
 * ``criterion10``: the determinism payload of acceptance criterion 10.
 
 Run it on two checkouts and compare the output:
@@ -36,14 +39,25 @@ def _bodies():
     ]
 
 
-def means_payload():
+def _means(bodies, ps, schedule):
     out = {}
-    for seed, body in enumerate(_bodies()):
-        for p in (1.0, 0.5):
-            mc = cf.interpretation_check(body, p=p, n_schedule=(250, 500, 1000),
-                                         trials=12, seed=seed)
+    for seed, body in enumerate(bodies):
+        for p in ps:
+            mc = cf.interpretation_check(body, p=p, n_schedule=schedule, trials=12,
+                                         seed=seed, allow_dim3=body.dim == 3)
             out["%s|%g" % (body.label, p)] = [e.mean.hex() for e in mc.estimates]
-    return json.dumps(out, sort_keys=True)
+    return out
+
+
+def _digest(obj):
+    text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _acceptance(body):
+    density = cf.boundary_density(body, p=1.0)
+    _, stats = cf.sample_boundary(density, 20000, seed=0, return_stats=True)
+    return stats.acceptance_rate
 
 
 def criterion10_payload():
@@ -54,9 +68,15 @@ def criterion10_payload():
 
 
 def main():
-    for name, payload in (("means", means_payload()),
-                          ("criterion10", criterion10_payload())):
-        print("%-12s %s" % (name, hashlib.sha256(payload.encode()).hexdigest()))
+    bodies = _bodies()
+    means = _means(bodies, (1.0, 0.5), (250, 500, 1000))
+    print("%-12s %s" % ("means", _digest(means)))
+    for body in bodies:
+        own = {k: v for k, v in means.items() if k.split("|")[0] == body.label}
+        print("  %-30s %s  acceptance %.4f" % (body.label, _digest(own), _acceptance(body)))
+    spatial = [cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 1.0])), cf.make_ball(3)]
+    print("%-12s %s" % ("means3d", _digest(_means(spatial, (1.0,), (8, 12, 16)))))
+    print("%-12s %s" % ("criterion10", _digest(criterion10_payload())))
 
 
 if __name__ == "__main__":
