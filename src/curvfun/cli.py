@@ -404,7 +404,7 @@ def _verify_all(args):
     return _verify_exit(reports)
 
 
-_MC_COLS = ["N", "mean_deficit", "stderr", "scaled", "target", "ratio"]
+_MC_COLS = ["N", "mean_deficit", "stderr", "scaled", "scaled_stderr", "target", "ratio"]
 
 
 def _cmd_mc_polytope(args):
@@ -426,14 +426,16 @@ def _cmd_mc_polytope(args):
             "mean_deficit": est.mean,
             "stderr": est.stderr,
             "scaled": est.scaled_mean,
+            "scaled_stderr": est.scaled_stderr,
             "target": check.target,
             "ratio": est.scaled_mean / check.target,
         })
     records.append({
         "N": "inf",
         "mean_deficit": "",
-        "stderr": check.extrapolated_stderr,
+        "stderr": "",
         "scaled": check.extrapolated,
+        "scaled_stderr": check.extrapolated_stderr,
         "target": check.target,
         "ratio": check.extrapolated / check.target,
     })

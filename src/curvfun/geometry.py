@@ -84,12 +84,13 @@ class SupportBody:
     tangential form) in closed form, or None.  The sampler's target uses it.
     Instances are immutable by convention and hash by identity.  Results
     computed from the oracles (curvature grids and equality labels per
-    rule, functional values per index, p and rule) are kept in the private
-    _cache dict, so they live exactly as long as the body.
+    rule, functional values per index, p and rule, sampling densities per
+    rule, index, p and safety) are kept in the private _cache dict, so they
+    live exactly as long as the body.
     """
 
     __slots__ = ("dim", "label", "support", "gradient", "hessian",
-                 "support_radius", "_polar", "_cache")
+                 "support_radius", "_polar", "_cache", "__weakref__")
 
     def __init__(self, dim, support, gradient, hessian, label, polar=None,
                  support_radius=None):

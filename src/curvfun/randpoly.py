@@ -92,12 +92,19 @@ class BoundaryDensity:
     so f / normalizer is a probability density.
 
     envelope bounds the sphere-side density.  In space it is the bound
-    everywhere.  In the plane the bound is piecewise constant over the arcs
-    between consecutive rule nodes, taken in angle order: arc k's height is
-    envelope times the largest sphere_values among its two end nodes and
-    their outer neighbours, over max(sphere_values).  The arcs and an alias
+    everywhere.  In the plane the bound follows the arcs between
+    consecutive rule nodes a_k, b_k, taken in angle order.  Arc k's height
+    is envelope times the largest sphere_values among its two end nodes and
+    their outer neighbours, over max(sphere_values), and its hat is
+    c_k |p|^2 at the point p of the chord from a_k to b_k that points in
+    direction u, with c_k = 2 height / (1 + a_k . b_k).  |p|^2 is smallest,
+    (1 + a_k . b_k) / 2, at the chord's midpoint, so the hat is never below
+    the height, and its mass over the arc is c_k (a_k x b_k), that is
+    2 height tan(w_k / 2) for an arc of width w_k.  The arcs and an alias
     table over their masses are built from the fields on construction, so
-    dataclasses.replace(density, envelope=...) rescales every height.
+    dataclasses.replace(density, envelope=...) rescales every height.  A
+    planar rule leaving a gap of pi or more between consecutive nodes has
+    an arc no chord spans and is refused with a ValueError.
     """
 
     body: object
@@ -112,8 +119,8 @@ class BoundaryDensity:
 
     def __post_init__(self):
         # _mass is the envelope's integral over the sphere; _arcs holds the
-        # planar arcs as rows (start angle, width, height) and the alias
-        # table as (index + acceptance threshold, alias) per arc
+        # planar arcs as rows (a_x, a_y, d_x, d_y, c) with d = b - a, and
+        # the alias table as (index + acceptance threshold, alias) per arc
         if self.body.dim != 2:
             object.__setattr__(self, "_arcs", None)
             object.__setattr__(self, "_mass", self.envelope * sphere_area(self.body.dim))
@@ -123,12 +130,21 @@ class BoundaryDensity:
         order = np.argsort(angle)
         start = np.take(angle, order)
         width = np.diff(start, append=start[0] + 2.0 * math.pi)
+        gap = int(np.argmax(width))
+        if width[gap] >= math.pi:
+            raise ValueError(
+                "rule %r leaves a gap of %.6g rad (pi or more) after the node at"
+                " angle %.6g; planar sampling needs every gap between"
+                " consecutive nodes below pi" % (self.rule.name, width[gap], start[gap]))
+        a = np.take(nodes, order, axis=0)
+        b = np.roll(a, -1, axis=0)
         v = np.take(self.sphere_values, order)
         peak = np.maximum(np.maximum(np.roll(v, 1), v),
                           np.maximum(np.roll(v, -1), np.roll(v, -2)))
         height = self.envelope * (peak / np.max(v))
-        mass = height * width
-        object.__setattr__(self, "_arcs", (np.stack([start, width, height]),
+        c = 2.0 * height / (1.0 + np.einsum("ij,ij->i", a, b))
+        mass = c * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        object.__setattr__(self, "_arcs", (np.vstack([a.T, (b - a).T, c]),
                                            *_alias_table(mass)))
         object.__setattr__(self, "_mass", float(np.sum(mass)))
 
@@ -155,14 +171,19 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     The rejection envelope is safety times the largest sphere-side value
     seen at the rule nodes.  In the plane it is refined to one height per
     arc between consecutive nodes, safety times the largest value at the
-    arc's end nodes and their outer neighbours (see BoundaryDensity), so
+    arc's end nodes and their outer neighbours, and proposals are drawn on
+    the arcs' chords under the hat c_k |p|^2 (see BoundaryDensity), so
     acceptance is about 1/safety whatever the body's shape; in space the
     single bound stays.  A coarse rule can understate the true maximum,
     which the sampler later reports as an EnvelopeError.
 
+    The density is kept on the body, keyed by (rule, index, p, safety), so
+    a repeated call returns the same object and dies with the body.
+
     Raises:
         ValueError: for symbolic p = inf (no sampling density there),
-            mismatched index dimension, or safety <= 1.
+            mismatched index dimension, safety <= 1, or a planar rule with
+            a gap of pi or more between consecutive nodes.
     """
     if index is None:
         index = WeightIndex.zero(body.dim)
@@ -176,16 +197,20 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
         raise ValueError("safety must exceed 1")
     if rule is None:
         rule = default_rule(body.dim)
-    g = curvature_grid(body, rule)
-    f = _density_values(g.h, g.s.T, index, p)
-    sphere = f * g.s_top
-    z = integrate(rule, sphere)
-    env = float(safety) * float(np.max(sphere))
-    f.setflags(write=False)
-    sphere.setflags(write=False)
-    return BoundaryDensity(body=body, index=index, p=p, rule=rule, values=f,
-                           sphere_values=sphere, normalizer=z, envelope=env,
-                           safety=float(safety))
+    safety = float(safety)
+    key = (rule, index, p, safety)
+    if key not in body._cache:
+        g = curvature_grid(body, rule)
+        f = _density_values(g.h, g.s.T, index, p)
+        sphere = f * g.s_top
+        z = integrate(rule, sphere)
+        env = safety * float(np.max(sphere))
+        f.setflags(write=False)
+        sphere.setflags(write=False)
+        body._cache[key] = BoundaryDensity(
+            body=body, index=index, p=p, rule=rule, values=f, sphere_values=sphere,
+            normalizer=z, envelope=env, safety=safety)
+    return body._cache[key]
 
 
 class IdentityCheck(NamedTuple):
@@ -242,18 +267,27 @@ def _alias_table(mass):
 
 
 def _arc_proposals(rng, arcs, count):
-    # planar proposals under the arc envelope: an arc from the alias table,
-    # an angle uniform in it; returns the directions, their angles, the
-    # envelope height at each and the uniforms that decide acceptance.
+    # planar proposals under the chord envelope: an arc from the alias
+    # table, a point p = a + t d uniform on its chord, the direction p / |p|;
+    # returns the directions, the envelope c |p|^2 at each and the uniforms
+    # that decide acceptance.  The angle moves at d(theta)/dt = (a x b) /
+    # |p|^2 along the chord, so the proposal density in angle is c |p|^2
+    # over the envelope's mass, the envelope itself.
     # x < K always: the largest uniform, 1 - 2^-53, times K rounds below K
     table, thresh, alias = arcs
-    x, within, u = rng.random((3, count))
+    x, t, u = rng.random((3, count))
     x *= len(alias)
     j = x.astype(np.intp)
     k = np.where(x < np.take(thresh, j), j, np.take(alias, j))
-    start, width, height = np.take(table, k, axis=1)
-    theta = start + within * width
-    return np.stack([np.cos(theta), np.sin(theta)], axis=1), theta, height, u
+    ax, ay, dx, dy, c = np.take(table, k, axis=1)
+    px = ax + t * dx
+    py = ay + t * dy
+    r2 = px * px + py * py
+    r = np.sqrt(r2)
+    U = np.empty((count, 2))
+    np.divide(px, r, out=U[:, 0])
+    np.divide(py, r, out=U[:, 1])
+    return U, c * r2, u
 
 
 def _uniform_directions(rng, count):
@@ -275,12 +309,14 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     (the rule max was understated), an EnvelopeError is raised rather
     than silently skewing the sample.  In space proposals are uniform
     directions under the one bound density.envelope.  In the plane each
-    proposal draws its arc of the piecewise-constant envelope from a
-    Walker alias table over the arc masses, then an angle uniform in the
-    arc, and is tested against that arc's height, so acceptance is about
-    1/safety.  This planar stream differs from earlier 0.1.0 builds, which
-    drew angles uniformly under the one bound; the spatial stream is
-    unchanged.
+    proposal draws its arc from a Walker alias table over the arc masses,
+    then a point p uniform on the arc's chord, and takes the direction
+    p / |p|; such a direction has angle density proportional to the arc's
+    hat c_k |p|^2 (see BoundaryDensity), and it is tested against that
+    hat, so acceptance is about 1/safety and no proposal needs a cosine or
+    a sine.  This planar stream differs from earlier 0.1.0 builds, which
+    drew angles uniformly under one bound and later uniformly within each
+    arc under a constant height; the spatial stream is unchanged.
 
     The acceptance rate is known in advance, normalizer over the
     envelope's integral over the sphere, so each round draws (need + 4
@@ -306,7 +342,8 @@ def sample_boundary(density, count, seed=None, return_stats=False):
 
 def _sample(density, count, rng):
     # sample_boundary's rejection rounds: the first count accepted points in
-    # draw order, their proposal angles in 2-D (None in 3-D), and the stats
+    # draw order, the angles of their normals in 2-D (None in 3-D), and the
+    # stats
     body = density.body
     rate = density.normalizer / density._mass
     chunks = []
@@ -322,11 +359,11 @@ def _sample(density, count, rng):
         need = count - accepted
         batch = min(_ROUND_ROWS, math.ceil((need + 4.0 * math.sqrt(need)) / rate))
         if density._arcs is None:
-            U, theta = _uniform_directions(rng, batch), None
+            U = _uniform_directions(rng, batch)
             env = np.full(U.shape[0], density.envelope)
             u = rng.random(U.shape[0])
         else:
-            U, theta, env, u = _arc_proposals(rng, density._arcs, batch)
+            U, env, u = _arc_proposals(rng, density._arcs, batch)
         m = U.shape[0]
         t = density.target(U)
         over = t - env
@@ -340,10 +377,10 @@ def _sample(density, count, rng):
         proposals += m
         kept = int(np.count_nonzero(keep))
         if kept:
-            chunks.append(np.asarray(body.gradient(np.compress(keep, U, axis=0)),
-                                     dtype=float))
-            if theta is not None:
-                angles.append(np.compress(keep, theta))
+            Uk = np.compress(keep, U, axis=0)
+            chunks.append(np.asarray(body.gradient(Uk), dtype=float))
+            if density._arcs is not None:
+                angles.append(np.arctan2(Uk[:, 1], Uk[:, 0]))
             accepted += kept
     points = np.concatenate(chunks, axis=0)[:count]
     theta = np.concatenate(angles)[:count] if angles else None
@@ -419,11 +456,12 @@ def expected_deficit(density, n_points, trials=256, seed=0):
     Each trial runs its own generator seeded with [*seed, trial], so runs
     are reproducible and trials are independent streams.  scaled_mean is
     the mean times n_points^(2/(n-1)), the quantity with a finite limit.
-    A planar trial takes the sampled points in the order of their proposal
-    (normal) angles.  On a strictly convex curve that is their cyclic
-    order along the boundary, the order hull_volume finds about the
-    centroid, so the shoelace needs no second sort and, its sum being
-    correctly rounded, gives hull_volume's area bit for bit.
+    A planar trial takes the sampled points in the order of their normal
+    angles, the arctan2 of the accepted directions.  On a strictly convex
+    curve that is their cyclic order along the boundary, the order
+    hull_volume finds about the centroid, so the shoelace needs no second
+    sort and, its sum being correctly rounded, gives hull_volume's area
+    bit for bit.
     """
     n_points = int(n_points)
     trials = int(trials)

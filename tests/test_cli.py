@@ -280,13 +280,20 @@ def test_mc_polytope_csv(corpus_dir, capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [r["N"] for r in rows] == ["50", "100", "200", "inf"]
     header = out.splitlines()[0].split(",")
-    assert header == ["N", "mean_deficit", "stderr", "scaled", "target", "ratio"]
+    assert header == ["N", "mean_deficit", "stderr", "scaled", "scaled_stderr",
+                      "target", "ratio"]
     target = float(rows[0]["target"])
     assert abs(target - 4 * math.pi ** 3) < 1e-9
     assert float(rows[-1]["ratio"]) == pytest.approx(
         float(rows[-1]["scaled"]) / target)
-    # the N = inf row carries the extrapolated constant's standard error
-    assert float(rows[-1]["stderr"]) > 0.0
+    # stderr is the unscaled mean's, scaled_stderr the scaled column's: the
+    # finite rows scale one by N^2, and the N = inf row carries only the
+    # extrapolated constant's standard error
+    for row in rows[:-1]:
+        assert float(row["scaled_stderr"]) == pytest.approx(
+            float(row["stderr"]) * int(row["N"]) ** 2, rel=1e-12)
+    assert rows[-1]["stderr"] == ""
+    assert float(rows[-1]["scaled_stderr"]) > 0.0
 
 
 def test_mc_polytope_deterministic(corpus_dir, capsys):

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +241,54 @@ def test_sample_boundary_ignores_rule_node_order(ellipse21, pball10):
         want = cf.sample_boundary(cf.boundary_density(body, p=1.0, rule=rule), 3000, seed=8)
         got = cf.sample_boundary(cf.boundary_density(body, p=1.0, rule=shuffled), 3000, seed=8)
         assert np.array_equal(got, want)
+
+
+def _arc_rule(angles):
+    # a planar rule on the given node angles; the weights play no part in
+    # the arcs
+    nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return cf.SphereRule(2, nodes, np.full(len(angles), 2.0 * math.pi / len(angles)),
+                         str(len(angles)))
+
+
+def test_planar_rule_gap_of_pi_refused(ball2):
+    # eight nodes over a quarter turn leave a gap of 3 pi / 2, which no
+    # chord spans
+    rule = _arc_rule(np.linspace(0.0, 0.5 * math.pi, 8))
+    with pytest.raises(ValueError, match=r"gap of 4\.71239 rad"):
+        cf.boundary_density(ball2, p=1.0, rule=rule)
+
+
+def test_chord_hat_on_coarse_rule(ball2):
+    # four arcs of pi / 2: |p|^2 on a chord falls to 0.5 at its midpoint, so
+    # a hat not exactly proportional to |p|^2 skews the angles.  The disk's
+    # density is constant; the hat's mass is 2 height tan(pi / 4) an arc
+    rule = _arc_rule(0.5 * math.pi * np.arange(4))
+    density = cf.boundary_density(ball2, p=1.0, rule=rule)
+    _, theta, info = randpoly._sample(density, 20000, np.random.default_rng(21))
+    res = stats.kstest(np.mod(theta, 2.0 * math.pi), stats.uniform(0.0, 2.0 * math.pi).cdf)
+    assert res.pvalue > 0.01
+    want = (2.0 / 3.0) * (0.5 * math.pi) / (2.0 * math.tan(0.25 * math.pi))
+    assert abs(info.acceptance_rate - want) < 0.02
+
+
+def test_boundary_density_kept_on_body():
+    body = cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 1.0]))
+    density = cf.boundary_density(body, p=1.0)
+    assert cf.boundary_density(body, p=1.0) is density
+    assert cf.boundary_density(body, p=1.0, rule=cf.default_rule(2), safety=1.5) is density
+    other = cf.boundary_density(body, p=1.0, safety=2.0)
+    assert other is not density
+    assert other.envelope == pytest.approx(density.envelope * 2.0 / 1.5, rel=1e-15)
+    # a replaced envelope rebuilds the arcs from the new fields
+    wider = dataclasses.replace(density, envelope=2.0 * density.envelope)
+    assert wider._mass == pytest.approx(2.0 * density._mass, rel=1e-15)
+    assert np.allclose(wider._arcs[0][4], 2.0 * density._arcs[0][4], rtol=1e-15, atol=0.0)
+    # the densities die with the body, though each refers back to it
+    ref = weakref.ref(body)
+    del body, density, other, wider
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.fixture(scope="module")
