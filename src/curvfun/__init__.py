@@ -90,6 +90,7 @@ from .analysis import (
     verify_holder_three,
     verify_holder_volume,
     verify_k_interpolation,
+    verify_petty,
 )
 from .randpoly import (
     BoundaryDensity,
@@ -133,7 +134,8 @@ __all__ = [
     # analysis
     "EQUALITY_TOL", "STRICT_TOL", "LIMIT_TOL", "PettyStats", "VerificationReport",
     "petty_ratio_stats", "equality_class", "verify_holder_three",
-    "verify_holder_volume", "verify_k_interpolation", "monotonicity_scan",
+    "verify_holder_volume", "verify_k_interpolation", "verify_petty",
+    "monotonicity_scan",
     "limit_p_infinity", "limit_p_zero", "default_suite_grids",
     "run_verification_suite",
     # randpoly

@@ -17,6 +17,7 @@ centered ellipsoids, the k-slot interpolation exactly on centered balls.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "verify_holder_three",
     "verify_holder_volume",
     "verify_k_interpolation",
+    "verify_petty",
     "monotonicity_scan",
     "limit_p_infinity",
     "limit_p_zero",
@@ -47,6 +49,11 @@ __all__ = [
 EQUALITY_TOL = 1e-8
 STRICT_TOL = 1e-6
 LIMIT_TOL = 1e-4
+
+# default p grid of the monotonicity scan and schedules of the two limits
+_MONOTONE_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+_LIMIT_INF_SCHEDULE = (10.0, 30.0, 100.0, 300.0, 1000.0)
+_LIMIT_ZERO_SCHEDULE = (0.3, 0.1, 0.03, 0.01)
 
 
 @dataclass(frozen=True)
@@ -134,12 +141,25 @@ def equality_class(body, rule=None):
     return body._cache[key]
 
 
-def _verdict(slack):
-    if slack < -EQUALITY_TOL:
-        return "violated"
-    if abs(slack) <= EQUALITY_TOL:
-        return "equality"
-    return "holds"
+def _report(claim, body, rule, params, lhs=None, rhs=None, slack=None,
+            verdict=None, *, extra):
+    """A claim's report on the body.
+
+    Without a verdict it is the comparison lhs <= rhs: the slack is the
+    relative gap and the verdict its reading against EQUALITY_TOL.
+    """
+    if verdict is None:
+        slack = (rhs - lhs) / max(abs(lhs), abs(rhs))
+        if slack < -EQUALITY_TOL:
+            verdict = "violated"
+        elif abs(slack) <= EQUALITY_TOL:
+            verdict = "equality"
+        else:
+            verdict = "holds"
+    return VerificationReport(
+        claim=claim, body_label=body.label, params=params, lhs=lhs, rhs=rhs,
+        slack=slack, verdict=verdict, equality_case=equality_class(body, rule),
+        extra=extra)
 
 
 def _omega(body, index, p, rule):
@@ -166,23 +186,16 @@ def verify_holder_three(body, index, r, s, t, rule=None):
     denom = (n + t) * (r - s)
     hyp = math.inf if denom == 0 else (n + r) * (t - s) / denom
     if not hyp > 1.0 or denom == 0:
-        return VerificationReport(
-            claim="holder3", body_label=body.label, params=params,
-            lhs=None, rhs=None, slack=None, verdict="hypothesis_violated",
-            equality_case=equality_class(body, rule),
-            extra={"hypothesis": None if denom == 0 else hyp})
+        return _report("holder3", body, rule, params, verdict="hypothesis_violated",
+                       extra={"hypothesis": None if denom == 0 else hyp})
     theta_t = (r - s) * (n + t) / ((t - s) * (n + r))
     theta_s = (t - r) * (n + s) / ((t - s) * (n + r))
     lhs = _omega(body, index, r, rule)
     om_t = _omega(body, index, t, rule)
     om_s = _omega(body, index, s, rule)
     rhs = math.exp(theta_t * math.log(om_t) + theta_s * math.log(om_s))
-    slack = (rhs - lhs) / max(abs(lhs), abs(rhs))
-    return VerificationReport(
-        claim="holder3", body_label=body.label, params=params,
-        lhs=lhs, rhs=rhs, slack=slack, verdict=_verdict(slack),
-        equality_case=equality_class(body, rule),
-        extra={"hypothesis": hyp, "theta_t": theta_t, "theta_s": theta_s})
+    return _report("holder3", body, rule, params, lhs, rhs,
+                   extra={"hypothesis": hyp, "theta_t": theta_t, "theta_s": theta_s})
 
 
 def verify_holder_volume(body, index, r, t, rule=None):
@@ -205,23 +218,16 @@ def verify_holder_volume(body, index, r, t, rule=None):
     denom = (n + t) * r
     hyp = math.inf if denom == 0 else (n + r) * t / denom
     if not hyp > 1.0 or denom == 0:
-        return VerificationReport(
-            claim="holdervol", body_label=body.label, params=params,
-            lhs=None, rhs=None, slack=None, verdict="hypothesis_violated",
-            equality_case=equality_class(body, rule),
-            extra={"hypothesis": None if denom == 0 else hyp})
+        return _report("holdervol", body, rule, params, verdict="hypothesis_violated",
+                       extra={"hypothesis": None if denom == 0 else hyp})
     e1 = n * (t - r) / (t * (n + r))
     e2 = r * (n + t) / (t * (n + r))
     muvol = _omega(body, index, 0.0, rule) / n
     lhs = _omega(body, index, r, rule) / muvol
     om_t = _omega(body, index, t, rule)
     rhs = math.exp(e1 * math.log(n) + e2 * math.log(om_t / muvol))
-    slack = (rhs - lhs) / max(abs(lhs), abs(rhs))
-    return VerificationReport(
-        claim="holdervol", body_label=body.label, params=params,
-        lhs=lhs, rhs=rhs, slack=slack, verdict=_verdict(slack),
-        equality_case=equality_class(body, rule),
-        extra={"hypothesis": hyp, "e1": e1, "e2": e2})
+    return _report("holdervol", body, rule, params, lhs, rhs,
+                   extra={"hypothesis": hyp, "e1": e1, "e2": e2})
 
 
 def verify_k_interpolation(body, m, i, p, r, s, k, rule=None):
@@ -243,12 +249,16 @@ def verify_k_interpolation(body, m, i, p, r, s, k, rule=None):
     om_k = _omega(body, WeightIndex(m, k, tuple(i)), p, rule)
     om_r = _omega(body, WeightIndex(m, r, tuple(i)), p, rule)
     rhs = math.exp(x * math.log(om_k) + (1.0 - x) * math.log(om_r))
-    slack = (rhs - lhs) / max(abs(lhs), abs(rhs))
-    return VerificationReport(
-        claim="kinterp", body_label=body.label, params=params,
-        lhs=lhs, rhs=rhs, slack=slack, verdict=_verdict(slack),
-        equality_case=equality_class(body, rule),
-        extra={"x": x})
+    return _report("kinterp", body, rule, params, lhs, rhs, extra={"x": x})
+
+
+def verify_petty(body, rule=None):
+    """Range of the Petty ratio: "equality" when it is constant (centered
+    ellipsoids), "holds" otherwise; lhs and rhs are its min and max."""
+    stats = petty_ratio_stats(body, rule)
+    return _report("petty", body, rule, {}, stats.vmin, stats.vmax, stats.spread,
+                   "equality" if stats.is_ellipsoid else "holds",
+                   extra={"spread": stats.spread})
 
 
 def _check_p_grid(n, p_grid, exclude_zero):
@@ -268,7 +278,7 @@ def _check_p_grid(n, p_grid, exclude_zero):
     return grid
 
 
-def monotonicity_scan(body, index, p_grid, rule=None):
+def monotonicity_scan(body, index, p_grid=_MONOTONE_GRID, rule=None):
     """Monotonicity of the normalized functional along a p grid.
 
     Two sequences are scanned:
@@ -307,13 +317,10 @@ def monotonicity_scan(body, index, p_grid, rule=None):
         const_i = (max(form_i) - min(form_i)) / max(form_i) < 1e-9
         const_ii = (max(form_ii) - min(form_ii)) / max(form_ii) < 1e-9
         verdict = "equality" if (const_i and const_ii) else "holds"
-    return VerificationReport(
-        claim="monotone", body_label=body.label, params=params,
-        lhs=None, rhs=None, slack=worst, verdict=verdict,
-        equality_case=equality_class(body, rule),
-        extra={"form_i": form_i, "form_ii": form_ii,
-               "form_ii_vol": form_ii_vol,
-               "strict_steps": [m > STRICT_TOL for m in margins]})
+    return _report("monotone", body, rule, params, slack=worst, verdict=verdict,
+                   extra={"form_i": form_i, "form_ii": form_ii,
+                          "form_ii_vol": form_ii_vol,
+                          "strict_steps": [m > STRICT_TOL for m in margins]})
 
 
 def _check_schedule(sched, minimum=3):
@@ -325,8 +332,7 @@ def _check_schedule(sched, minimum=3):
     return sched
 
 
-def limit_p_infinity(body, index, rule=None,
-                     p_schedule=(10.0, 30.0, 100.0, 300.0, 1000.0),
+def limit_p_infinity(body, index, rule=None, p_schedule=_LIMIT_INF_SCHEDULE,
                      tol=LIMIT_TOL):
     """Entropy limit at p -> inf of (omega^p / omega^inf)^(n+p).
 
@@ -357,20 +363,17 @@ def limit_p_infinity(body, index, rule=None,
     stated_target = math.exp(-n * n * kl / ominf)
     slack = abs(extrapolated - proof_target) / abs(proof_target)
     verdict = "holds" if slack <= tol else "violated"
-    return VerificationReport(
-        claim="limit-inf", body_label=body.label, params=params,
-        lhs=extrapolated, rhs=proof_target, slack=slack, verdict=verdict,
-        equality_case=equality_class(body, rule),
-        extra={"estimates": estimates,
-               "proof_form_target": proof_target,
-               "stated_form_target": stated_target,
-               "kl_pq": kl,
-               "targets_differ": abs(stated_target - proof_target)
-                                 > 1e-12 * abs(proof_target)})
+    return _report("limit-inf", body, rule, params, extrapolated, proof_target,
+                   slack, verdict,
+                   extra={"estimates": estimates,
+                          "proof_form_target": proof_target,
+                          "stated_form_target": stated_target,
+                          "kl_pq": kl,
+                          "targets_differ": abs(stated_target - proof_target)
+                                            > 1e-12 * abs(proof_target)})
 
 
-def limit_p_zero(body, index, rule=None,
-                 p_schedule=(0.3, 0.1, 0.03, 0.01),
+def limit_p_zero(body, index, rule=None, p_schedule=_LIMIT_ZERO_SCHEDULE,
                  tol=LIMIT_TOL):
     """Entropy limit at p -> 0+ of the polar body's normalized functional.
 
@@ -402,16 +405,14 @@ def limit_p_zero(body, index, rule=None,
     stated_target = math.exp(-n * n * kl_pq / om0)
     slack = abs(extrapolated - proof_target) / abs(proof_target)
     verdict = "holds" if slack <= tol else "violated"
-    return VerificationReport(
-        claim="limit-zero", body_label=body.label, params=params,
-        lhs=extrapolated, rhs=proof_target, slack=slack, verdict=verdict,
-        equality_case=equality_class(body, rule),
-        extra={"estimates": estimates,
-               "polar_label": pol.label,
-               "proof_form_target": proof_target,
-               "stated_form_target": stated_target,
-               "kl_qp_polar": kl_qp,
-               "kl_pq_polar": kl_pq})
+    return _report("limit-zero", body, rule, params, extrapolated, proof_target,
+                   slack, verdict,
+                   extra={"estimates": estimates,
+                          "polar_label": pol.label,
+                          "proof_form_target": proof_target,
+                          "stated_form_target": stated_target,
+                          "kl_qp_polar": kl_qp,
+                          "kl_pq_polar": kl_pq})
 
 
 # ---------------------------------------------------------------------------
@@ -435,49 +436,34 @@ def default_suite_grids(dim):
         "holdervol": [(1.0, 2.0), (1.0, 4.0), (2.0, 3.0), (0.5, 1.0), (1.0, 8.0)],
         "kinterp_triples": [(0.0, 1.0, 2.0), (0.0, 1.5, 3.0)],
         "kinterp_p": [1.0, 2.0],
-        "monotone_grid": [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
-        "limit_inf_schedule": [10.0, 30.0, 100.0, 300.0, 1000.0],
-        "limit_zero_schedule": [0.3, 0.1, 0.03, 0.01],
+        "monotone_grid": list(_MONOTONE_GRID),
+        "limit_inf_schedule": list(_LIMIT_INF_SCHEDULE),
+        "limit_zero_schedule": list(_LIMIT_ZERO_SCHEDULE),
     }
 
 
 def _suite_claims(bodies, rules):
-    """Yield (description, thunk) pairs in a fixed deterministic order."""
+    """Yield the claims as thunks in a fixed deterministic order."""
     for body in bodies:
         rule = rules[body.dim]
         grids = default_suite_grids(body.dim)
 
-        def petty_thunk(body=body, rule=rule):
-            stats = petty_ratio_stats(body, rule)
-            verdict = "equality" if stats.is_ellipsoid else "holds"
-            return VerificationReport(
-                claim="petty", body_label=body.label, params={},
-                lhs=stats.vmin, rhs=stats.vmax, slack=stats.spread,
-                verdict=verdict, equality_case=equality_class(body, rule),
-                extra={"spread": stats.spread})
-
-        yield petty_thunk
-
+        yield partial(verify_petty, body, rule)
         for index in grids["indices"]:
             for (r, s, t) in grids["holder3"]:
-                yield (lambda body=body, index=index, r=r, s=s, t=t, rule=rule:
-                       verify_holder_three(body, index, r, s, t, rule))
+                yield partial(verify_holder_three, body, index, r, s, t, rule)
             for (r, t) in grids["holdervol"]:
-                yield (lambda body=body, index=index, r=r, t=t, rule=rule:
-                       verify_holder_volume(body, index, r, t, rule))
+                yield partial(verify_holder_volume, body, index, r, t, rule)
             for (r, s, k) in grids["kinterp_triples"]:
                 for p in grids["kinterp_p"]:
-                    yield (lambda body=body, index=index, p=p, r=r, s=s, k=k, rule=rule:
-                           verify_k_interpolation(body, index.m, index.i, p, r, s, k, rule))
-            yield (lambda body=body, index=index, rule=rule, grids=grids:
-                   monotonicity_scan(body, index, grids["monotone_grid"], rule))
+                    yield partial(verify_k_interpolation,
+                                  body, index.m, index.i, p, r, s, k, rule)
+            yield partial(monotonicity_scan, body, index, rule=rule)
 
         zero = WeightIndex.zero(body.dim)
-        yield (lambda body=body, zero=zero, rule=rule, grids=grids:
-               limit_p_infinity(body, zero, rule, grids["limit_inf_schedule"]))
+        yield partial(limit_p_infinity, body, zero, rule)
         if body._polar is not None:
-            yield (lambda body=body, zero=zero, rule=rule, grids=grids:
-                   limit_p_zero(body, zero, rule, grids["limit_zero_schedule"]))
+            yield partial(limit_p_zero, body, zero, rule)
 
 
 def run_verification_suite(bodies, rule2=None, rule3=None):

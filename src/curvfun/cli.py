@@ -104,12 +104,10 @@ def _emit(records, args, columns=None):
 
 def _add_format_flags(p, default="json"):
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--json", dest="format", action="store_const", const="json",
-                   help="JSON lines output (default)")
-    g.add_argument("--csv", dest="format", action="store_const", const="csv",
-                   help="CSV output")
-    g.add_argument("--pretty", dest="format", action="store_const", const="pretty",
-                   help="human-readable output")
+    for fmt, text in (("json", "JSON lines output"), ("csv", "CSV output"),
+                      ("pretty", "human-readable output")):
+        g.add_argument("--" + fmt, dest="format", action="store_const", const=fmt,
+                       help=text + (" (default)" if fmt == default else ""))
     p.set_defaults(format=default)
     p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
@@ -156,8 +154,7 @@ def _make_index(args, dim):
         raise UsageError(str(exc))
 
 
-def _make_rule(args, dim):
-    spec = getattr(args, "rule", None)
+def _make_rule(spec, dim):
     if spec is None:
         return quadrature.default_rule(dim)
     try:
@@ -199,13 +196,6 @@ def _parse_p_grid(spec):
         raise UsageError("--p-grid expects a:b:steps[:log] or a comma list")
 
 
-def _parse_float_list(spec, flag):
-    try:
-        return [float(v) for v in spec.split(",")]
-    except ValueError:
-        raise UsageError("%s expects comma-separated numbers, got %r" % (flag, spec))
-
-
 def _parse_int_list(spec, flag):
     try:
         return [int(v) for v in spec.split(",")]
@@ -237,7 +227,7 @@ _EVAL_COLS = ["body", "dim", "m", "k", "i", "p", "rule", "value"]
 def _cmd_eval(args):
     body = _load_body(args.body)
     index = _make_index(args, body.dim)
-    rule = _make_rule(args, body.dim)
+    rule = _make_rule(args.rule, body.dim)
     p = _parse_p(args.p)
     try:
         rec = _eval_record(body, index, p, rule)
@@ -250,7 +240,7 @@ def _cmd_eval(args):
 def _cmd_sweep(args):
     body = _load_body(args.body)
     index = _make_index(args, body.dim)
-    rule = _make_rule(args, body.dim)
+    rule = _make_rule(args.rule, body.dim)
     grid = _parse_p_grid(args.p_grid)
     records = []
     for p in grid:
@@ -283,7 +273,7 @@ def _parse_gen(spec):
 def _cmd_divergence(args):
     body = _load_body(args.body)
     index = _make_index(args, body.dim)
-    rule = _make_rule(args, body.dim)
+    rule = _make_rule(args.rule, body.dim)
     name, alpha = _parse_gen(args.gen)
     if args.normalized and name not in ("kl", "kl-rev"):
         raise UsageError("--normalized only applies to the kl and kl-rev generators")
@@ -337,41 +327,49 @@ def _emit_reports(reports, args, summary=None):
     _emit(records, args, columns=_VERIFY_COLS)
 
 
+def _p_grid(args):
+    # an absent --p-grid or --p-schedule leaves the claim's own default
+    return {"p_grid": _parse_p_grid(args.p_grid)} if args.p_grid else {}
+
+
+def _p_schedule(args):
+    if not args.p_schedule:
+        return {}
+    try:
+        return {"p_schedule": [float(v) for v in args.p_schedule.split(",")]}
+    except ValueError:
+        raise UsageError("--p-schedule expects comma-separated numbers, got %r"
+                         % args.p_schedule)
+
+
+# claim name -> its library call; the keys are verify's claim choices
+_CLAIMS = {
+    "holder3": lambda body, index, rule, a: analysis.verify_holder_three(
+        body, index, a.r, a.s, a.t, rule),
+    "holdervol": lambda body, index, rule, a: analysis.verify_holder_volume(
+        body, index, a.r, a.t, rule),
+    "kinterp": lambda body, index, rule, a: analysis.verify_k_interpolation(
+        body, index.m, index.i, a.p, a.r, a.s, a.t, rule),
+    "monotone": lambda body, index, rule, a: analysis.monotonicity_scan(
+        body, index, rule=rule, **_p_grid(a)),
+    "petty": lambda body, index, rule, a: analysis.verify_petty(body, rule),
+    "limit-inf": lambda body, index, rule, a: analysis.limit_p_infinity(
+        body, index, rule, **_p_schedule(a)),
+    "limit-zero": lambda body, index, rule, a: analysis.limit_p_zero(
+        body, index, rule, **_p_schedule(a)),
+}
+
+
 def _cmd_verify(args):
     if args.claim == "all":
         return _verify_all(args)
+    if not args.body:
+        raise UsageError("verify %s needs --body" % args.claim)
     body = _load_body(args.body)
     index = _make_index(args, body.dim)
-    rule = _make_rule(args, body.dim)
+    rule = _make_rule(args.rule, body.dim)
     try:
-        if args.claim == "holder3":
-            rep = analysis.verify_holder_three(body, index, args.r, args.s, args.t, rule)
-        elif args.claim == "holdervol":
-            rep = analysis.verify_holder_volume(body, index, args.r, args.t, rule)
-        elif args.claim == "kinterp":
-            rep = analysis.verify_k_interpolation(
-                body, args.m, _parse_i(args.i, body.dim), args.p,
-                args.r, args.s, args.t, rule)
-        elif args.claim == "monotone":
-            grid = (_parse_p_grid(args.p_grid) if args.p_grid
-                    else analysis.default_suite_grids(body.dim)["monotone_grid"])
-            rep = analysis.monotonicity_scan(body, index, grid, rule)
-        elif args.claim == "petty":
-            stats = analysis.petty_ratio_stats(body, rule)
-            rep = analysis.VerificationReport(
-                claim="petty", body_label=body.label, params={},
-                lhs=stats.vmin, rhs=stats.vmax, slack=stats.spread,
-                verdict="equality" if stats.is_ellipsoid else "holds",
-                equality_case=analysis.equality_class(body, rule),
-                extra={"spread": stats.spread})
-        elif args.claim == "limit-inf":
-            sched = (_parse_float_list(args.p_schedule, "--p-schedule")
-                     if args.p_schedule else (10.0, 30.0, 100.0, 300.0, 1000.0))
-            rep = analysis.limit_p_infinity(body, index, rule, sched)
-        else:
-            sched = (_parse_float_list(args.p_schedule, "--p-schedule")
-                     if args.p_schedule else (0.3, 0.1, 0.03, 0.01))
-            rep = analysis.limit_p_zero(body, index, rule, sched)
+        rep = _CLAIMS[args.claim](body, index, rule, args)
     except ValueError as exc:
         raise UsageError(str(exc))
     _emit_reports([rep], args)
@@ -386,11 +384,8 @@ def _verify_all(args):
     if not paths:
         raise UsageError("no .json body files in %s" % corpus)
     bodies = [_load_body(os.path.join(corpus, p)) for p in paths]
-    rule2 = (quadrature.parse_rule_spec(args.rule2, 2) if args.rule2
-             else quadrature.default_rule(2))
-    rule3 = (quadrature.parse_rule_spec(args.rule3, 3) if args.rule3
-             else quadrature.default_rule(3))
-    reports = analysis.run_verification_suite(bodies, rule2=rule2, rule3=rule3)
+    reports = analysis.run_verification_suite(
+        bodies, rule2=_make_rule(args.rule2, 2), rule3=_make_rule(args.rule3, 3))
     counts = {}
     for r in reports:
         counts[r.verdict] = counts.get(r.verdict, 0) + 1
@@ -410,7 +405,7 @@ _MC_COLS = ["N", "mean_deficit", "stderr", "scaled", "scaled_stderr", "target", 
 def _cmd_mc_polytope(args):
     body = _load_body(args.body)
     index = _make_index(args, body.dim)
-    rule = _make_rule(args, body.dim)
+    rule = _make_rule(args.rule, body.dim)
     schedule = _parse_int_list(args.N, "--N")
     try:
         check = randpoly.interpretation_check(
@@ -525,8 +520,7 @@ def build_parser():
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("verify", help="machine-verify one claim or the full suite")
-    p.add_argument("claim", choices=["holder3", "holdervol", "kinterp", "monotone",
-                                     "petty", "limit-inf", "limit-zero", "all"])
+    p.add_argument("claim", choices=[*_CLAIMS, "all"])
     p.add_argument("--body", metavar="F", help="body file (single claims)")
     p.add_argument("--corpus", metavar="DIR", help="body directory (verify all)")
     _add_index_flags(p)
@@ -571,9 +565,6 @@ def run(argv=None):
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    if args.command == "verify" and args.claim != "all" and not args.body:
-        print("error: verify %s needs --body" % args.claim, file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except UsageError as exc:

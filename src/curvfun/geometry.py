@@ -132,7 +132,6 @@ class CurvatureGrid:
 
     u: np.ndarray
     h: np.ndarray
-    x: np.ndarray
     radii: np.ndarray
     s: np.ndarray
     H: np.ndarray
@@ -536,10 +535,10 @@ def curvature_grid(body, rule=None):
     if rule is None:
         rule = default_rule(body.dim)
     if rule not in body._cache:
-        h, x, radii, s, H = curvature_arrays(body, rule.nodes, check=True)
-        for arr in (h, x, radii, s, H):
+        h, radii, s, H = _curvature_core(body, rule.nodes, check=True)
+        for arr in (h, radii, s, H):
             arr.setflags(write=False)
-        body._cache[rule] = CurvatureGrid(u=rule.nodes, h=h, x=x, radii=radii, s=s, H=H)
+        body._cache[rule] = CurvatureGrid(u=rule.nodes, h=h, radii=radii, s=s, H=H)
     return body._cache[rule]
 
 
@@ -600,7 +599,8 @@ def centroid(body, rule=None):
     g = curvature_grid(body, rule)
     vol = integrate(rule, g.h * g.s_top) / body.dim
     base = g.h * g.s_top
-    coords = [integrate(rule, g.x[:, i] * base) for i in range(body.dim)]
+    x = np.asarray(body.gradient(rule.nodes), dtype=float)
+    coords = [integrate(rule, x[:, i] * base) for i in range(body.dim)]
     return np.array(coords) / ((body.dim + 1) * vol)
 
 

@@ -218,3 +218,7 @@ def test_run_verification_suite(ball2, ellipse21, pball05):
     a = [r.to_record() for r in reports]
     b = [r.to_record() for r in again]
     assert a == b
+    # the suite's petty claim is the public verify_petty
+    petty = [rec for rec in a if rec["claim"] == "petty"]
+    assert petty == [cf.verify_petty(body).to_record()
+                     for body in (ball2, ellipse21, pball05)]

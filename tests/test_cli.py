@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import curvfun as cf
 import curvfun.cli as cli
 
 
@@ -201,6 +202,34 @@ def test_verify_single_claims(corpus_dir, capsys):
         assert rec["verdict"] in ("holds", "equality")
 
 
+_Z2 = cf.WeightIndex.zero(2)
+
+
+@pytest.mark.parametrize("claim, flags, call", [
+    ("holder3", [], lambda b: cf.verify_holder_three(b, _Z2, 1.0, 0.0, 4.0)),
+    ("holdervol", [], lambda b: cf.verify_holder_volume(b, _Z2, 1.0, 4.0)),
+    ("kinterp", ["--r", "0", "--s", "1", "--t", "2"],
+     lambda b: cf.verify_k_interpolation(b, 0, (0,), 1.0, 0.0, 1.0, 2.0)),
+    ("monotone", [], lambda b: cf.monotonicity_scan(b, _Z2)),
+    ("monotone", ["--p-grid", "0.5,1,2,4"],
+     lambda b: cf.monotonicity_scan(b, _Z2, [0.5, 1.0, 2.0, 4.0])),
+    ("petty", [], lambda b: cf.verify_petty(b)),
+    ("limit-inf", [], lambda b: cf.limit_p_infinity(b, _Z2)),
+    ("limit-zero", [], lambda b: cf.limit_p_zero(b, _Z2)),
+    ("limit-zero", ["--p-schedule", "0.2,0.05,0.02"],
+     lambda b: cf.limit_p_zero(b, _Z2, p_schedule=[0.2, 0.05, 0.02])),
+], ids=["holder3", "holdervol", "kinterp", "monotone", "monotone-p-grid", "petty",
+        "limit-inf", "limit-zero", "limit-zero-p-schedule"])
+def test_verify_claim_matches_library(corpus_dir, capsys, claim, flags, call):
+    # a single-claim record is the library call's, defaults included
+    path = corpus_dir / "ellipse_2_1.json"
+    code, out, err = run_cli(["verify", claim, "--body", str(path), "--json"] + flags,
+                             capsys)
+    assert code == 0, err
+    expected = cli._jsonable(call(cf.load_body(str(path))).to_record())
+    assert json.loads(out) == expected
+
+
 def test_verify_kinterp_slots(corpus_dir, capsys):
     code, out, err = run_cli(
         ["verify", "kinterp", "--body", str(corpus_dir / "ball2.json"),
@@ -270,6 +299,17 @@ def test_verify_all(corpus_dir, capsys):
 def test_verify_all_needs_corpus(capsys):
     code, out, err = run_cli(["verify", "all"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, spec, dim, example", [
+    ("--rule2", "abc", 2, "512"), ("--rule3", "8x8", 3, "64x128")])
+def test_verify_all_bad_rule_exits_2(corpus_dir, capsys, flag, spec, dim, example):
+    code, out, err = run_cli(
+        ["verify", "all", "--corpus", str(corpus_dir), flag, spec], capsys)
+    assert code == 2
+    assert err == ("error: bad rule spec '%s' for dimension %d (expected e.g. '%s')\n"
+                   % (spec, dim, example))
+    assert out == ""
 
 
 def test_mc_polytope_csv(corpus_dir, capsys):
@@ -346,6 +386,16 @@ def test_pretty_format(corpus_dir, capsys):
         capsys)
     assert code == 0
     assert "value" in out and "=" in out
+
+
+@pytest.mark.parametrize("command, default", [("eval", "--json"),
+                                              ("mc-polytope", "--csv")])
+def test_help_names_default_format(capsys, monkeypatch, command, default):
+    monkeypatch.setenv("COLUMNS", "100")
+    code, out, err = run_cli([command, "--help"], capsys)
+    assert code == 0
+    marked = [line.split()[0] for line in out.splitlines() if "(default)" in line]
+    assert marked == [default]
 
 
 def test_version_flag(capsys):

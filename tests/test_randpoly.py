@@ -140,6 +140,15 @@ def _counting_body(body, support_radius=None):
     return counted, calls
 
 
+def test_cold_curvature_grid_skips_gradient(ellipse21, ellipsoid211):
+    # grids hold no boundary points, so building one never asks for them
+    for base in (ellipse21, ellipsoid211):
+        body, calls = _counting_body(base)
+        cf.curvature_grid(body)
+        assert calls["gradient"] == []
+        assert calls["hessian"] == [len(cf.default_rule(base.dim).nodes)]
+
+
 @pytest.mark.parametrize("count", [1, 1000, 70000])
 def test_sample_boundary_maps_only_accepted_rows(ellipse21, count):
     body, calls = _counting_body(ellipse21)
@@ -207,7 +216,8 @@ def test_sample_boundary_from_support_uses_hessian():
 def test_sample_boundary_sizes_round_from_acceptance(ellipse21):
     count = 1000
     density = cf.boundary_density(ellipse21, p=1.0)
-    rate = density.normalizer / (density.envelope * 2.0 * math.pi)
+    # the rate the sampler sizes rounds from: Z over the envelope's mass
+    rate = density.normalizer / density._mass
     _, info = cf.sample_boundary(density, count, seed=5, return_stats=True)
     assert info.accepted >= count
     assert info.proposals <= math.ceil((count + 4.0 * math.sqrt(count)) / rate)
