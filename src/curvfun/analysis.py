@@ -23,8 +23,8 @@ import numpy as np
 
 from ._extrap import neville_to_zero
 from .divergence import kl_divergence
-from .functionals import WeightIndex, weighted_asa, _validate_p
-from .geometry import curvature_grid, polar_body
+from .functionals import WeightIndex, _ZERO_INDEX, weighted_asa, _validate_p
+from .geometry import _cached, curvature_grid, polar_body
 from .quadrature import default_rule
 
 __all__ = [
@@ -129,16 +129,15 @@ def equality_class(body, rule=None):
     """
     if rule is None:
         rule = default_rule(body.dim)
-    key = ("equality_class", rule)
-    if key not in body._cache:
+
+    def compute():
         if _h_spread(body, rule) < EQUALITY_TOL:
-            label = "ball"
-        elif petty_ratio_stats(body, rule).is_ellipsoid:
-            label = "ellipsoid"
-        else:
-            label = "generic"
-        body._cache[key] = label
-    return body._cache[key]
+            return "ball"
+        if petty_ratio_stats(body, rule).is_ellipsoid:
+            return "ellipsoid"
+        return "generic"
+
+    return _cached(body, ("equality_class", rule), compute)
 
 
 def _report(claim, body, rule, params, lhs=None, rhs=None, slack=None,
@@ -460,7 +459,7 @@ def _suite_claims(bodies, rules):
                                   body, index.m, index.i, p, r, s, k, rule)
             yield partial(monotonicity_scan, body, index, rule=rule)
 
-        zero = WeightIndex.zero(body.dim)
+        zero = _ZERO_INDEX[body.dim]
         yield partial(limit_p_infinity, body, zero, rule)
         if body._polar is not None:
             yield partial(limit_p_zero, body, zero, rule)

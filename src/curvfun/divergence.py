@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import WeightIndex, mu_density, weighted_asa, _check_index, _power
-from .geometry import curvature_grid
+from .geometry import _cached, curvature_grid
 from .quadrature import default_rule, integrate
 
 __all__ = [
@@ -226,37 +226,50 @@ def kl_divergence(body, index, direction="PQ", rule=None, normalized=False):
 
     With normalized=True both measures are rescaled to probability measures
     first, which makes the result nonnegative (it vanishes exactly when the
-    Petty ratio is constant, that is on centered ellipsoids).
+    Petty ratio is constant, that is on centered ellipsoids).  Computed
+    once per index, direction, normalization and rule and kept on the body.
     """
+    _check_index(body, index)
+    if direction not in ("PQ", "QP"):
+        raise ValueError("direction must be 'PQ' or 'QP', got %r" % direction)
     if rule is None:
         rule = default_rule(body.dim)
-    pair = cone_densities(body, index, rule)
-    if direction == "PQ":
-        num, den, logr = pair.p, pair.q, np.log(pair.ratio)
-    elif direction == "QP":
-        num, den, logr = pair.q, pair.p, -np.log(pair.ratio)
-    else:
-        raise ValueError("direction must be 'PQ' or 'QP', got %r" % direction)
-    if not normalized:
-        return integrate(rule, num * logr * pair.mu)
-    mass_num = integrate(rule, num * pair.mu)
-    mass_den = integrate(rule, den * pair.mu)
-    raw = integrate(rule, num * logr * pair.mu)
-    return raw / mass_num + math.log(mass_den / mass_num)
+    normalized = bool(normalized)
+
+    def compute():
+        pair = cone_densities(body, index, rule)
+        if direction == "PQ":
+            num, den, logr = pair.p, pair.q, np.log(pair.ratio)
+        else:
+            num, den, logr = pair.q, pair.p, -np.log(pair.ratio)
+        if not normalized:
+            return integrate(rule, num * logr * pair.mu)
+        mass_num = integrate(rule, num * pair.mu)
+        mass_den = integrate(rule, den * pair.mu)
+        raw = integrate(rule, num * logr * pair.mu)
+        return raw / mass_num + math.log(mass_den / mass_num)
+
+    return _cached(body, ("kl", index, direction, normalized, rule), compute)
 
 
 def hellinger(body, index, alpha, rule=None):
     """Hellinger integral of order alpha: integral of p^alpha q^(1-alpha) dmu.
 
     At alpha = p/(n+p) this equals the weighted L_p affine surface area;
-    alpha=0 and alpha=1 give the total masses of Q and P.
+    alpha=0 and alpha=1 give the total masses of Q and P.  Computed once
+    per index, alpha and rule and kept on the body.
     """
     alpha = float(alpha)
+    _check_index(body, index)
     if rule is None:
         rule = default_rule(body.dim)
-    pair = cone_densities(body, index, rule)
-    vals = _power(pair.p, alpha) * _power(pair.q, 1.0 - alpha)
-    return integrate(rule, vals * pair.mu)
+
+    def compute():
+        pair = cone_densities(body, index, rule)
+        vals = _power(pair.p, alpha) * _power(pair.q, 1.0 - alpha)
+        return integrate(rule, vals * pair.mu)
+
+    return _cached(body, ("hellinger", index, alpha, rule), compute)
 
 
 def renyi(body, index, alpha, rule=None):

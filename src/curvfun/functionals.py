@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import curvature_arrays, curvature_grid
+from .geometry import _cached, curvature_arrays, curvature_grid
 from .quadrature import default_rule, integrate
 
 __all__ = [
@@ -151,15 +151,15 @@ def _weight_factor(s, h, index):
 
 
 def _omega_cached(body, index, p, rule):
-    key = (index, p, rule)
-    if key not in body._cache:
+    def compute():
         alpha, beta = asa_exponents(body.dim, p)
         g = curvature_grid(body, rule)
         vals = (_weight_factor(g.s, g.h, index)
                 * _power(g.s_top, 1.0 - alpha - index.sum_i)
                 * _power(g.h, -beta))
-        body._cache[key] = integrate(rule, vals)
-    return body._cache[key]
+        return integrate(rule, vals)
+
+    return _cached(body, ("omega", index, p, rule), compute)
 
 
 def weighted_asa(body, index, p, rule=None):
@@ -183,9 +183,13 @@ def weighted_asa(body, index, p, rule=None):
                            body_label=body.label, rule_name=rule.name)
 
 
+# the zero index of each dimension, validated once
+_ZERO_INDEX = {dim: WeightIndex.zero(dim) for dim in (2, 3)}
+
+
 def asa(body, p, rule=None):
     """Classical L_p affine surface area: the zero weight index."""
-    return weighted_asa(body, WeightIndex.zero(body.dim), p, rule)
+    return weighted_asa(body, _ZERO_INDEX[body.dim], p, rule)
 
 
 def weighted_volume(body, index, rule=None):

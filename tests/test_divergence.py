@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -71,6 +73,98 @@ def test_direction_validation(ball2):
         cf.f_divergence(ball2, z, cf.kl_generator(), direction="PP")
     with pytest.raises(ValueError, match="direction"):
         cf.kl_divergence(ball2, z, "QQ")
+
+
+def _fresh_body(dim):
+    # a generic body: its cone density ratio is not constant
+    return cf.make_perturbed_ball(dim, mode=3, eps=0.05 if dim == 2 else 0.02)
+
+
+DIVERGENCE_CALLS = {
+    "kl-PQ": lambda b, z: cf.kl_divergence(b, z, "PQ"),
+    "kl-QP": lambda b, z: cf.kl_divergence(b, z, "QP"),
+    "kl-PQ-normalized": lambda b, z: cf.kl_divergence(b, z, "PQ", normalized=True),
+    "kl-QP-normalized": lambda b, z: cf.kl_divergence(b, z, "QP", normalized=True),
+    "hellinger": lambda b, z: cf.hellinger(b, z, 0.5),
+    "renyi": lambda b, z: cf.renyi(b, z, 0.5),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_divergences_cached_with_fresh_bits(dim):
+    z = cf.WeightIndex.zero(dim)
+    body = _fresh_body(dim)
+    for name, call in DIVERGENCE_CALLS.items():
+        first = call(body, z)
+        assert call(body, z).hex() == first.hex(), name
+        assert call(_fresh_body(dim), z).hex() == first.hex(), name
+    # four kl entries and one hellinger entry (renyi reads it), each a float
+    kinds = [key[0] for key in body._cache]
+    assert kinds.count("kl") == 4 and kinds.count("hellinger") == 1
+    assert all(type(v) is float for key, v in body._cache.items()
+               if key[0] in ("kl", "hellinger"))
+
+
+def test_divergence_cache_keys():
+    body = _fresh_body(2)
+    z = cf.WeightIndex.zero(2)
+    rule = cf.default_rule(2)
+    # a rule is a key by identity, whatever its name
+    doubled = cf.SphereRule(2, rule.nodes, 2.0 * rule.weights, rule.name)
+    cf.kl_divergence(body, z, "PQ")
+    cf.kl_divergence(body, z, "PQ", normalized=1)
+    cf.kl_divergence(body, z, "PQ", normalized=True)
+    cf.kl_divergence(body, z, "PQ", rule=doubled)
+    cf.kl_divergence(body, cf.WeightIndex(1, 0.0, (1,)), "PQ")
+    cf.hellinger(body, z, 1)
+    cf.hellinger(body, z, 1.0)
+    cf.hellinger(body, z, 0.25)
+    assert cf.hellinger(body, z, 0.25, doubled) == 2.0 * cf.hellinger(body, z, 0.25)
+    assert {key for key in body._cache if key[0] in ("kl", "hellinger")} == {
+        ("kl", z, "PQ", False, rule),
+        ("kl", z, "PQ", True, rule),
+        ("kl", z, "PQ", False, doubled),
+        ("kl", cf.WeightIndex(1, 0.0, (1,)), "PQ", False, rule),
+        ("hellinger", z, 1.0, rule),
+        ("hellinger", z, 0.25, rule),
+        ("hellinger", z, 0.25, doubled),
+    }
+
+
+def test_divergence_bad_input_stores_nothing():
+    body = _fresh_body(2)
+    z = cf.WeightIndex.zero(2)
+    wrong = cf.WeightIndex.zero(3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="direction"):
+            cf.kl_divergence(body, z, "QQ")
+        with pytest.raises(ValueError, match="index dimension"):
+            cf.kl_divergence(body, wrong, "PQ")
+        with pytest.raises(ValueError, match="index dimension"):
+            cf.hellinger(body, wrong, 0.5)
+        with pytest.raises(TypeError, match="WeightIndex"):
+            cf.hellinger(body, (0, 0.0, (0,)), 0.5)
+    assert body._cache == {}
+    # a non-finite integrand raises on every call and leaves no entry
+    cf.hellinger(body, z, 0.5)
+    size = len(body._cache)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-finite"):
+            cf.hellinger(body, z, math.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            cf.renyi(body, z, math.nan)
+    assert len(body._cache) == size
+
+
+def test_divergence_entries_die_with_body():
+    body = _fresh_body(3)
+    z = cf.WeightIndex.zero(3)
+    for call in DIVERGENCE_CALLS.values():
+        call(body, z)
+    ref = weakref.ref(body)
+    del body
+    gc.collect()
+    assert ref() is None
 
 
 def test_kl_closed_forms(ball2, ellipse21):

@@ -157,6 +157,15 @@ def test_functional_value_metadata(ellipse21):
     assert out.p == 1.0
 
 
+def test_asa_shares_one_zero_index(ellipse21, ellipsoid211):
+    for body in (ellipse21, ellipsoid211):
+        zero = cf.WeightIndex.zero(body.dim)
+        first = cf.asa(body, 1.0)
+        assert first.index == zero
+        assert cf.asa(body, 0.5).index is first.index
+        assert first.value.hex() == cf.weighted_asa(body, zero, 1.0).value.hex()
+
+
 def test_lutwak_density(ball2, ellipse21):
     for p in (0.5, 1.0, 4.0, math.inf):
         assert abs(cf.lutwak_density(ball2, p, np.array([1.0, 0.0])) - 1.0) < 1e-12

@@ -157,7 +157,7 @@ def test_polar_body_cached_on_body():
     assert cf.polar_body(body) is polar
     # the limit runs on the cached polar, whose grid then serves a repeat
     cf.limit_p_zero(body, cf.WeightIndex.zero(3))
-    assert cf.default_rule(3) in polar._cache
+    assert ("grid", cf.default_rule(3)) in polar._cache
     # the polar, and so its grid, dies with the body
     grid = weakref.ref(cf.curvature_grid(polar))
     del body, polar
@@ -399,6 +399,47 @@ def test_curvature_cache_dies_with_body():
     del body
     gc.collect()
     assert grid() is None
+
+
+def _fresh_ellipsoid(dim):
+    return cf.make_ellipsoid(dim, cf.ellipsoid_matrix([2.0, 1.0, 1.0][:dim]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_volumes_cached_with_fresh_bits(dim):
+    body = _fresh_ellipsoid(dim)
+    rule = cf.default_rule(dim)
+    doubled = cf.SphereRule(dim, rule.nodes, 2.0 * rule.weights, rule.name)
+    for volume in (cf.body_volume, cf.polar_volume):
+        first = volume(body)
+        assert volume(body).hex() == first.hex()
+        assert volume(body, rule).hex() == first.hex()
+        assert volume(_fresh_ellipsoid(dim)).hex() == first.hex()
+        # another rule is another entry
+        assert volume(body, doubled) == 2.0 * first
+    entries = {key: v for key, v in body._cache.items()
+               if key[0] in ("volume", "polar_volume")}
+    assert set(entries) == {(kind, r) for kind in ("volume", "polar_volume")
+                            for r in (rule, doubled)}
+    assert all(type(v) is float for v in entries.values())
+    # the entries die with the body
+    ref = weakref.ref(body)
+    del body
+    gc.collect()
+    assert ref() is None
+
+
+def test_volume_of_non_convex_body_stores_nothing():
+    def h(U):
+        U = np.asarray(U, dtype=float)
+        return 1.0 + 0.3 * np.cos(3 * np.arctan2(U[..., 1], U[..., 0]))
+
+    body = cf.from_support(h, 2, label="wavy")
+    for _ in range(2):
+        for volume in (cf.body_volume, cf.polar_volume):
+            with pytest.raises(cf.ConvexityError):
+                volume(body)
+    assert body._cache == {}
 
 
 @settings(max_examples=25, deadline=None)

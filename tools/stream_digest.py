@@ -9,7 +9,12 @@ Each digest is over exact float64 bits (float.hex):
   digest and the sampler's acceptance rate (p = 1, 20 000 points, seed 0);
 * ``means3d``: the same per-N means on the 2:1:1 ellipsoid and the ball in
   space (schedule 8/12/16, 12 trials, p = 1);
-* ``criterion10``: the determinism payload of acceptance criterion 10.
+* ``criterion10``: the determinism payload of acceptance criterion 10;
+* ``scalars``: the default-rule ``asa`` and ``weighted_asa`` (p = 1),
+  ``kl_divergence`` (PQ, and QP normalized), ``hellinger`` and ``renyi``
+  (alpha = 1/2), ``body_volume`` and ``polar_volume`` values of fresh
+  copies of the 2-D and 3-D bodies above, each from a first call and a
+  repeat, so cached values are compared with computed ones.
 
 Run it on two checkouts and compare the output:
 
@@ -39,6 +44,10 @@ def _bodies():
     ]
 
 
+def _spatial():
+    return [cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 1.0])), cf.make_ball(3)]
+
+
 def _means(bodies, ps, schedule):
     out = {}
     for seed, body in enumerate(bodies):
@@ -46,6 +55,26 @@ def _means(bodies, ps, schedule):
             mc = cf.interpretation_check(body, p=p, n_schedule=schedule, trials=12,
                                          seed=seed, allow_dim3=body.dim == 3)
             out["%s|%g" % (body.label, p)] = [e.mean.hex() for e in mc.estimates]
+    return out
+
+
+def _scalars(bodies):
+    out = {}
+    for body in bodies:
+        zero = cf.WeightIndex.zero(body.dim)
+        index = cf.default_suite_grids(body.dim)["indices"][1]
+        calls = {
+            "asa": lambda: cf.asa(body, 1.0).value,
+            "weighted_asa": lambda: cf.weighted_asa(body, index, 1.0).value,
+            "kl": lambda: cf.kl_divergence(body, zero, "PQ"),
+            "kl_qp_normalized": lambda: cf.kl_divergence(body, zero, "QP", normalized=True),
+            "hellinger": lambda: cf.hellinger(body, zero, 0.5),
+            "renyi": lambda: cf.renyi(body, zero, 0.5),
+            "body_volume": lambda: cf.body_volume(body),
+            "polar_volume": lambda: cf.polar_volume(body),
+        }
+        for name, call in calls.items():
+            out["%s|%s" % (body.label, name)] = [call().hex() for _ in range(2)]
     return out
 
 
@@ -74,9 +103,9 @@ def main():
     for body in bodies:
         own = {k: v for k, v in means.items() if k.split("|")[0] == body.label}
         print("  %-30s %s  acceptance %.4f" % (body.label, _digest(own), _acceptance(body)))
-    spatial = [cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 1.0])), cf.make_ball(3)]
-    print("%-12s %s" % ("means3d", _digest(_means(spatial, (1.0,), (8, 12, 16)))))
+    print("%-12s %s" % ("means3d", _digest(_means(_spatial(), (1.0,), (8, 12, 16)))))
     print("%-12s %s" % ("criterion10", _digest(criterion10_payload())))
+    print("%-12s %s" % ("scalars", _digest(_scalars(_bodies() + _spatial()))))
 
 
 if __name__ == "__main__":
