@@ -192,6 +192,11 @@ def cone_densities(body, index, rule=None):
     _check_index(body, index)
     if rule is None:
         rule = default_rule(body.dim)
+    return _densities(body, index, rule)
+
+
+def _densities(body, index, rule):
+    # cone_densities for an index the caller has checked
     g = curvature_grid(body, rule)
     n = body.dim
     q = g.h
@@ -237,7 +242,7 @@ def kl_divergence(body, index, direction="PQ", rule=None, normalized=False):
     normalized = bool(normalized)
 
     def compute():
-        pair = cone_densities(body, index, rule)
+        pair = _densities(body, index, rule)
         if direction == "PQ":
             num, den, logr = pair.p, pair.q, np.log(pair.ratio)
         else:
@@ -265,7 +270,7 @@ def hellinger(body, index, alpha, rule=None):
         rule = default_rule(body.dim)
 
     def compute():
-        pair = cone_densities(body, index, rule)
+        pair = _densities(body, index, rule)
         vals = _power(pair.p, alpha) * _power(pair.q, 1.0 - alpha)
         return integrate(rule, vals * pair.mu)
 

@@ -393,7 +393,12 @@ def test_curvature_grid_caching(ball2, rule2):
 
 def test_curvature_cache_dies_with_body():
     body = cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 1.0]))
+    z = cf.WeightIndex.zero(3)
     cf.asa(body, 1.0)
+    cf.kl_divergence(body, z, "PQ")
+    cf.hellinger(body, z, 0.5)
+    cf.body_volume(body)
+    cf.polar_volume(body)
     grid = weakref.ref(cf.curvature_grid(body))
     assert grid() is not None
     del body
@@ -422,11 +427,6 @@ def test_volumes_cached_with_fresh_bits(dim):
     assert set(entries) == {(kind, r) for kind in ("volume", "polar_volume")
                             for r in (rule, doubled)}
     assert all(type(v) is float for v in entries.values())
-    # the entries die with the body
-    ref = weakref.ref(body)
-    del body
-    gc.collect()
-    assert ref() is None
 
 
 def test_volume_of_non_convex_body_stores_nothing():
