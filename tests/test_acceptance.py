@@ -276,6 +276,23 @@ def test_criterion_09_monte_carlo_interpretation(ball2, ellipse21):
           % (100 * disk.rel_error, z_disk, 100 * ell.rel_error, z_ell))
 
 
+def test_criterion_11_spatial_monte_carlo_interpretation(ball3, ellipsoid211):
+    # the 3-D limit c_3 Z omega at the library's default 3-D schedule, on a
+    # smaller trial budget than criterion 9; each body gates on the relative
+    # error and on z, the distance to the target in extrapolated standard
+    # errors
+    out = []
+    for body, seed in ((ball3, 2028), (ellipsoid211, 2029)):
+        mc = cf.interpretation_check(body, p=1.0, n_schedule=(250, 500, 1000),
+                                     trials=200, seed=seed, allow_dim3=True)
+        z = mc.rel_error * mc.target / mc.extrapolated_stderr
+        assert mc.rel_error < 0.05, (body.label, mc.rel_error)
+        assert abs(z) <= 5.0, (body.label, z)
+        out.append((100 * mc.rel_error, z))
+    print("criterion 11 (spatial random polytope limit): PASS, ball %.3f%% (z %.2f),"
+          " ellipsoid %.3f%% (z %.2f)" % (*out[0], *out[1]))
+
+
 def _determinism_payload():
     # fresh objects throughout, so nothing is served from evaluation caches
     ball = cf.make_ball(2)
