@@ -21,7 +21,7 @@ from ._extrap import neville_to_zero, neville_weights
 from .functionals import (WeightIndex, _ZERO_INDEX, _power, _validate_p, asa_exponents,
                           weighted_asa)
 from .geometry import _cached, _check_positive, _curvature_core, body_volume, curvature_grid
-from .quadrature import _exact_sum, default_rule, integrate, sphere_area
+from .quadrature import _exact_sum, default_rule, integrate
 
 __all__ = [
     "BoundaryDensity",
@@ -83,6 +83,42 @@ def _density_values(h, s, index, p):
     return vals
 
 
+def _arc_cells(rule):
+    # the planar hat's cells: the arcs between consecutive nodes in angle
+    # order, as (K, 2) node indices (a_k, b_k), and the two arcs next to
+    # each
+    nodes = rule.nodes
+    angle = np.mod(np.arctan2(nodes[:, 1], nodes[:, 0]), 2.0 * math.pi)
+    order = np.argsort(angle)
+    start = np.take(angle, order)
+    width = np.diff(start, append=start[0] + 2.0 * math.pi)
+    gap = int(np.argmax(width))
+    if width[gap] >= math.pi:
+        raise ValueError(
+            "rule %r leaves a gap of %.6g rad (pi or more) after the node at"
+            " angle %.6g; planar sampling needs every gap between"
+            " consecutive nodes below pi" % (rule.name, width[gap], start[gap]))
+    near = (np.arange(len(order))[:, None] + [-1, 1]) % len(order)
+    return np.stack([order, np.roll(order, -1)], axis=1), near
+
+
+def _facet_cells(rule):
+    # the spatial hat's cells: the triangles of the nodes' convex hull as
+    # (K, 3) node indices, the three triangles next to each, and each
+    # triangle's outer unit normal and plane distance from the origin
+    # imported here: scipy.spatial is most of the package's import time
+    from scipy.spatial import ConvexHull
+
+    hull = ConvexHull(rule.nodes)
+    dist = -hull.equations[:, -1]
+    if not np.min(dist) > 0.0:
+        raise ValueError(
+            "rule %r does not surround the origin: a face of its nodes' hull"
+            " lies at distance %.6g; spatial sampling needs every face on"
+            " the far side of the origin" % (rule.name, np.min(dist)))
+    return hull.simplices, hull.neighbors, hull.equations[:, :-1], dist
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryDensity:
     """A curvature-weighted sampling density on the boundary of a body.
@@ -92,20 +128,25 @@ class BoundaryDensity:
     sampler bounds.  normalizer is the total mass of f over the boundary,
     so f / normalizer is a probability density.
 
-    envelope bounds the sphere-side density.  In space it is the bound
-    everywhere.  In the plane the bound follows the arcs between
-    consecutive rule nodes a_k, b_k, taken in angle order.  Arc k's height
-    is envelope times the largest sphere_values among its two end nodes and
-    their outer neighbours, over max(sphere_values), and its hat is
-    c_k |p|^2 at the point p of the chord from a_k to b_k that points in
-    direction u, with c_k = 2 height / (1 + a_k . b_k).  |p|^2 is smallest,
-    (1 + a_k . b_k) / 2, at the chord's midpoint, so the hat is never below
-    the height, and its mass over the arc is c_k (a_k x b_k), that is
-    2 height tan(w_k / 2) for an arc of width w_k.  The arcs and an alias
-    table over their masses are built from the fields on construction, so
+    The sampler's hat is built over flat cells between rule nodes: in the
+    plane the chords between consecutive nodes in angle order, in space the
+    triangles of the nodes' convex hull, as qhull gives them.  A cell lies
+    in a plane at distance d_k from the origin, and a point p uniform on it
+    gives the direction p / |p| a sphere density proportional to |p|^n, so
+    the cell's hat c_k |p|^n with c_k = height_k / d_k^n is never below
+    height_k, and its mass is c_k d_k times the cell's length or area.  In
+    the plane c_k = 2 height_k / (1 + a_k . b_k) and the mass is
+    c_k (a_k x b_k) for the chord from a_k to b_k.  Cell k's height is
+    envelope times the largest sphere_values at the vertices of the cell
+    and of its neighbours, over max(sphere_values); in space the target at
+    the cell's normal counts too, since a coplanar polar cap of a product
+    rule has no node near the pole.  envelope is the heights' scale, not a
+    bound any proposal is tested against.  The cells and an alias table
+    over their masses are built from the fields on construction, so
     dataclasses.replace(density, envelope=...) rescales every height.  A
-    planar rule leaving a gap of pi or more between consecutive nodes has
-    an arc no chord spans and is refused with a ValueError.
+    planar rule leaving a gap of pi or more between consecutive nodes, or
+    a spatial rule whose hull does not surround the origin, is refused
+    with a ValueError.
     """
 
     body: object
@@ -119,34 +160,31 @@ class BoundaryDensity:
     safety: float
 
     def __post_init__(self):
-        # _mass is the envelope's integral over the sphere; _arcs holds the
-        # planar arcs as rows (a_x, a_y, d_x, d_y, c) with d = b - a, and
-        # the alias table as (index + acceptance threshold, alias) per arc
-        if self.body.dim != 2:
-            object.__setattr__(self, "_arcs", None)
-            object.__setattr__(self, "_mass", self.envelope * sphere_area(self.body.dim))
-            return
-        nodes = self.rule.nodes
-        angle = np.mod(np.arctan2(nodes[:, 1], nodes[:, 0]), 2.0 * math.pi)
-        order = np.argsort(angle)
-        start = np.take(angle, order)
-        width = np.diff(start, append=start[0] + 2.0 * math.pi)
-        gap = int(np.argmax(width))
-        if width[gap] >= math.pi:
-            raise ValueError(
-                "rule %r leaves a gap of %.6g rad (pi or more) after the node at"
-                " angle %.6g; planar sampling needs every gap between"
-                " consecutive nodes below pi" % (self.rule.name, width[gap], start[gap]))
-        a = np.take(nodes, order, axis=0)
-        b = np.roll(a, -1, axis=0)
-        v = np.take(self.sphere_values, order)
-        peak = np.maximum(np.maximum(np.roll(v, 1), v),
-                          np.maximum(np.roll(v, -1), np.roll(v, -2)))
+        # _cells holds the cells as rows (a, d_1, ..., d_{n-1}, c), a vertex
+        # a and the edges d_i from it, and the alias table as (index +
+        # acceptance threshold, alias) per cell; _mass is the hat's integral
+        # over the sphere
+        nodes, v = self.rule.nodes, self.sphere_values
+        if self.body.dim == 2:
+            tri, near = _arc_cells(self.rule)
+        else:
+            tri, near, normal, dist = _facet_cells(self.rule)
+        peak = np.max(np.take(v, np.take(tri, near, axis=0)).reshape(len(tri), -1), axis=1)
+        if self.body.dim == 3:
+            peak = np.maximum(peak, self.target(normal))
         height = self.envelope * (peak / np.max(v))
-        c = 2.0 * height / (1.0 + np.einsum("ij,ij->i", a, b))
-        mass = c * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-        object.__setattr__(self, "_arcs", (np.vstack([a.T, (b - a).T, c]),
-                                           *_alias_table(mass)))
+        a, b, *far = (np.take(nodes, col, axis=0) for col in tri.T)
+        edges = [b - a] + [e - a for e in far]
+        if self.body.dim == 2:
+            c = 2.0 * height / (1.0 + np.einsum("ij,ij->i", a, b))
+            mass = c * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        else:
+            c = height / dist ** 3
+            mass = c * dist * (0.5 * np.linalg.norm(np.cross(*edges), axis=1))
+        # C order: a proposal round gathers columns, and a column gather
+        # from a Fortran-ordered table copies the whole table first
+        table = np.ascontiguousarray(np.vstack([a.T, *(e.T for e in edges), c]))
+        object.__setattr__(self, "_cells", (table, *_alias_table(mass)))
         object.__setattr__(self, "_mass", float(np.sum(mass)))
 
     def target(self, U):
@@ -169,22 +207,27 @@ class BoundaryDensity:
 def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     """Tabulate the matched boundary density for (index, p) on a rule.
 
-    The rejection envelope is safety times the largest sphere-side value
-    seen at the rule nodes.  In the plane it is refined to one height per
-    arc between consecutive nodes, safety times the largest value at the
-    arc's end nodes and their outer neighbours, and proposals are drawn on
-    the arcs' chords under the hat c_k |p|^2 (see BoundaryDensity), so
-    acceptance is about 1/safety whatever the body's shape; in space the
-    single bound stays.  A coarse rule can understate the true maximum,
-    which the sampler later reports as an EnvelopeError.
+    envelope is safety times the largest sphere-side value seen at the rule
+    nodes: the scale of the hat's heights, not a bound any proposal is
+    tested against.  The hat has one height per cell between rule nodes,
+    chords in the plane and the triangles of the nodes' convex hull in
+    space: safety times the largest value at the vertices of the cell and
+    of its neighbours, and in space at the cell's normal.  Proposals are
+    drawn on the cells under the hat c_k |p|^n (see BoundaryDensity), so
+    acceptance is about 1/safety on the 512-node circle; with the 64x128
+    sphere rule it is 0.56-0.67 on the ball, the 2:1:1 and 3:1:0.5
+    ellipsoids and an eps = 0.05 perturbed ball.  In space the hull costs
+    about 0.1-0.15 s per density.  A coarse rule can understate the true
+    maximum, which the sampler later reports as an EnvelopeError.
 
     The density is kept on the body, keyed by (rule, index, p, safety), so
     a repeated call returns the same object and dies with the body.
 
     Raises:
         ValueError: for symbolic p = inf (no sampling density there),
-            mismatched index dimension, safety <= 1, or a planar rule with
-            a gap of pi or more between consecutive nodes.
+            mismatched index dimension, safety <= 1, a planar rule with a
+            gap of pi or more between consecutive nodes, or a spatial rule
+            whose hull does not surround the origin.
     """
     if index is None:
         index = _ZERO_INDEX[body.dim]
@@ -239,6 +282,13 @@ def density_functional_identity(density):
 
 
 class SampleStats(NamedTuple):
+    """Counts of one sample_boundary call.
+
+    accepted counts every accepted proposal of the rounds drawn, so it can
+    exceed the request.  envelope is the density's envelope, the scale of
+    the hat's heights, not a bound any proposal was tested against.
+    """
+
     accepted: int
     proposals: int
     acceptance_rate: float
@@ -268,60 +318,58 @@ def _alias_table(mass):
     return np.arange(K) + np.array(prob), np.array(alias, dtype=np.intp)
 
 
-def _arc_proposals(rng, arcs, count):
-    # planar proposals under the chord envelope: an arc from the alias
-    # table, a point p = a + t d uniform on its chord, the direction p / |p|;
-    # returns the directions, the envelope c |p|^2 at each and the uniforms
-    # that decide acceptance.  The angle moves at d(theta)/dt = (a x b) /
-    # |p|^2 along the chord, so the proposal density in angle is c |p|^2
-    # over the envelope's mass, the envelope itself.
+def _simplex_proposals(rng, cells, dim, count):
+    # proposals under the hat: a cell from the alias table, a point p
+    # uniform on it, the direction p / |p|; returns the directions, the hat
+    # c |p|^n at each and the uniforms that decide acceptance.  Draws come
+    # as rows (x, t_1, ..., t_{n-1}, u); in space (t_1, t_2) is reflected
+    # onto the triangle when t_1 + t_2 > 1.  Since dOmega = d dA / |p|^n,
+    # the proposal density on the sphere is c |p|^n over the hat's mass.
     # x < K always: the largest uniform, 1 - 2^-53, times K rounds below K
-    table, thresh, alias = arcs
-    x, t, u = rng.random((3, count))
+    table, thresh, alias = cells
+    x, *t, u = rng.random((dim + 1, count))
     x *= len(alias)
     j = x.astype(np.intp)
     k = np.where(x < np.take(thresh, j), j, np.take(alias, j))
-    ax, ay, dx, dy, c = np.take(table, k, axis=1)
-    px = ax + t * dx
-    py = ay + t * dy
-    r2 = px * px + py * py
+    rows = np.take(table, k, axis=1)
+    if dim == 3:
+        flip = t[0] + t[1] > 1.0
+        t = [np.where(flip, 1.0 - ti, ti) for ti in t]
+    p = rows[:dim] + t[0] * rows[dim:2 * dim]
+    if dim == 3:
+        p += t[1] * rows[2 * dim:3 * dim]
+    r2 = p[0] * p[0]
+    for comp in p[1:]:
+        r2 += comp * comp
     r = np.sqrt(r2)
-    U = np.empty((count, 2))
-    np.divide(px, r, out=U[:, 0])
-    np.divide(py, r, out=U[:, 1])
-    return U, c * r2, u
-
-
-def _uniform_directions(rng, count):
-    # uniform unit directions on S^2
-    g = rng.standard_normal((count, 3))
-    norms = np.linalg.norm(g, axis=1)
-    ok = norms > 1e-12
-    if not np.all(ok):
-        g, norms = g[ok], norms[ok]
-    return g / norms[:, None]
+    U = np.empty((count, dim))
+    np.divide(p, r, out=U.T)
+    hat = rows[-1] * r2 if dim == 2 else rows[-1] * r2 * r
+    return U, hat, u
 
 
 def sample_boundary(density, count, seed=None, return_stats=False):
     """Draw boundary points distributed as f / normalizer by rejection.
 
-    Proposals are drawn from the envelope; a proposal u is kept with
-    probability target(u) / (envelope height at u) and mapped to the
-    boundary point x(u).  If the true target ever exceeds the envelope
-    (the rule max was understated), an EnvelopeError is raised rather
-    than silently skewing the sample.  In space proposals are uniform
-    directions under the one bound density.envelope.  In the plane each
-    proposal draws its arc from a Walker alias table over the arc masses,
-    then a point p uniform on the arc's chord, and takes the direction
-    p / |p|; such a direction has angle density proportional to the arc's
-    hat c_k |p|^2 (see BoundaryDensity), and it is tested against that
-    hat, so acceptance is about 1/safety and no proposal needs a cosine or
-    a sine.  This planar stream differs from earlier 0.1.0 builds, which
-    drew angles uniformly under one bound and later uniformly within each
-    arc under a constant height; the spatial stream is unchanged.
+    Proposals are drawn from the hat; a proposal u is kept with probability
+    target(u) / (hat at u) and mapped to the boundary point x(u).  If the
+    true target ever exceeds the hat (the rule max was understated), an
+    EnvelopeError is raised rather than silently skewing the sample.  Each
+    proposal draws its cell from a Walker alias table over the cell
+    masses, then a point p uniform on the cell, the chord between two
+    nodes in the plane and a triangle of their hull in space, and takes
+    the direction p / |p|.  Such a direction has sphere density
+    proportional to the cell's hat c_k |p|^n (see BoundaryDensity), and it
+    is tested against that hat, so no proposal needs a cosine or a sine.
+    The planar stream differs from earlier 0.1.0 builds, which drew
+    angles uniformly under one bound and later uniformly within each arc
+    under a constant height.  The spatial stream differs from builds that
+    drew uniform directions under one bound; the spatial cells follow
+    qhull's triangulation of the rule nodes, so with a given scipy equal
+    seeds give equal samples.
 
-    The acceptance rate is known in advance, normalizer over the
-    envelope's integral over the sphere, so each round draws (need + 4
+    The acceptance rate is known in advance, normalizer over the hat's
+    integral over the sphere, so each round draws (need + 4
     sqrt(need)) / rate proposals for the need points still missing, at
     most 65536; one round almost always suffices.  Only the target is
     evaluated on every proposal; the boundary points x(u) are computed for
@@ -360,13 +408,7 @@ def _sample(density, count, rng):
                 % (proposals, accepted))
         need = count - accepted
         batch = min(_ROUND_ROWS, math.ceil((need + 4.0 * math.sqrt(need)) / rate))
-        if density._arcs is None:
-            U = _uniform_directions(rng, batch)
-            env = np.full(U.shape[0], density.envelope)
-            u = rng.random(U.shape[0])
-        else:
-            U, env, u = _arc_proposals(rng, density._arcs, batch)
-        m = U.shape[0]
+        U, env, u = _simplex_proposals(rng, density._cells, body.dim, batch)
         t = density.target(U)
         over = t - env
         worst = int(np.argmax(over))
@@ -376,12 +418,12 @@ def _sample(density, count, rng):
                 " finer rule or a larger safety factor"
                 % (t[worst], env[worst], U[worst].tolist()))
         keep = u * env < t
-        proposals += m
+        proposals += batch
         kept = int(np.count_nonzero(keep))
         if kept:
             Uk = np.compress(keep, U, axis=0)
             chunks.append(np.asarray(body.gradient(Uk), dtype=float))
-            if density._arcs is not None:
+            if body.dim == 2:
                 angles.append(np.arctan2(Uk[:, 1], Uk[:, 0]))
             accepted += kept
     points = np.concatenate(chunks, axis=0)[:count]
@@ -529,9 +571,11 @@ def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
     functional of the matched index.
 
     Spatial runs cost seconds, mostly in qhull: on a 2-core host (Python
-    3.11, numpy 2.4, scipy 1.17) the 2:1:1 ellipsoid took 3.4 s with 200
-    trials and 7.7 s with the default 512, on the default schedule, and
-    the ball 2.2 s and 5.7 s.  They are refused unless allow_dim3 is set.
+    3.11, numpy 2.4, scipy 1.17), over three runs on the default
+    schedule, the 2:1:1 ellipsoid took 1.9-2.6 s with 200 trials and
+    5.7-6.8 s with the default 512, and the ball 2.0-2.6 s and 5.3-6.7 s,
+    each including the 0.1-0.15 s hull of a new body's density.  They are
+    refused unless allow_dim3 is set.
     """
     if body.dim == 3 and not allow_dim3:
         raise ValueError("dim-3 Monte Carlo is expensive; pass allow_dim3=True")

@@ -282,6 +282,80 @@ def test_chord_hat_on_coarse_rule(ball2):
     assert abs(info.acceptance_rate - want) < 0.02
 
 
+@pytest.fixture(scope="module")
+def ellipsoid315():
+    return cf.make_ellipsoid(3, cf.ellipsoid_matrix([3.0, 1.0, 0.5]))
+
+
+@pytest.mark.parametrize("spec", ["64x128", "8x16"])
+def test_spatial_sampling_law(ellipsoid211, spec):
+    # the sampled normals follow the target density: the 2:1:1 ellipsoid's
+    # target depends on u only through c = u . e_1, whose law is 2 pi
+    # target(c) dc / Z; KS test of c against that CDF tabulated on a fine
+    # grid.  The coarse rule's triangles are wide, so proposals not uniform
+    # on them would skew the law
+    rule = cf.parse_rule_spec(spec, 3)
+    density = cf.boundary_density(ellipsoid211, p=1.0, rule=rule)
+    points, _, _ = randpoly._sample(density, 20000, np.random.default_rng(17))
+    # x = M u / h(u) on the ellipsoid, so u is M^-1 x normalized
+    u = points / np.array([4.0, 1.0, 1.0])
+    c = u[:, 0] / np.linalg.norm(u, axis=1)
+    grid = np.linspace(-1.0, 1.0, (1 << 14) + 1)
+    f = density.target(np.stack([grid, np.sqrt(1.0 - grid * grid), 0.0 * grid], axis=1))
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))])
+    fine = cf.boundary_density(ellipsoid211, p=1.0)
+    assert 2.0 * math.pi * cdf[-1] == pytest.approx(fine.normalizer, rel=1e-6)
+    cdf /= cdf[-1]
+    res = stats.kstest(c, lambda x: np.interp(x, grid, cdf))
+    assert res.pvalue > 0.01
+
+
+@pytest.mark.parametrize("fixture", ["ellipsoid211", "ellipsoid315"])
+def test_spatial_acceptance(request, fixture):
+    # the triangle hat accepts 0.63 on the 2:1:1 ellipsoid and 0.56 on the
+    # 3:1:0.5 one, where one global bound accepted 0.34 and 0.056
+    density = cf.boundary_density(request.getfixturevalue(fixture), p=1.0)
+    _, info = cf.sample_boundary(density, 20000, seed=0, return_stats=True)
+    assert density.normalizer / density._mass >= 0.55
+    assert info.acceptance_rate >= 0.55
+
+
+def test_spatial_hat_sees_polar_cap(ellipsoid315):
+    # each polar cap of the 16x32 rule is one coplanar 32-gon with every
+    # node on its rim, fanned into thin triangles: the one over the pole
+    # and its neighbours see rim values of about 7.8, far below the
+    # target's 14.7 at the pole, which only the facet normal's sample sees
+    rule = cf.sphere_rule(16, 32)
+    density = cf.boundary_density(ellipsoid315, p=1.0, rule=rule)
+    points = cf.sample_boundary(density, 200000, seed=0)
+    assert points.shape == (200000, 3)
+
+
+def test_triangle_hat_on_coarse_rule(ball3):
+    # the octahedron's eight faces lie at distance 1 / sqrt(3): |p|^3 on a
+    # face falls to 0.19 at its centre, so a hat not exactly proportional
+    # to |p|^3 skews the law.  The ball's density is constant, so z is
+    # uniform on [-1, 1]; the hat's mass is height area / d^2 a face
+    nodes = np.concatenate([np.eye(3), -np.eye(3)])
+    rule = cf.SphereRule(3, nodes, np.full(6, 4.0 * math.pi / 6.0), "octahedron")
+    density = cf.boundary_density(ball3, p=1.0, rule=rule)
+    points, info = cf.sample_boundary(density, 20000, seed=21, return_stats=True)
+    res = stats.kstest(points[:, 2], stats.uniform(-1.0, 2.0).cdf)
+    assert res.pvalue > 0.01
+    want = (2.0 / 3.0) * (4.0 * math.pi) / (8.0 * (math.sqrt(3.0) / 2.0) * 3.0)
+    assert abs(info.acceptance_rate - want) < 0.02
+
+
+def test_spatial_rule_must_surround_origin(ball3):
+    # the upper half of a product rule: the face across its lowest ring
+    # faces the origin from outside
+    rule = cf.sphere_rule(16, 32)
+    upper = rule.nodes[:, 2] > 0.0
+    half = cf.SphereRule(3, rule.nodes[upper], rule.weights[upper], "16x32-upper")
+    with pytest.raises(ValueError, match="does not surround the origin"):
+        cf.boundary_density(ball3, p=1.0, rule=half)
+
+
 def test_boundary_density_kept_on_body():
     body = cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 1.0]))
     density = cf.boundary_density(body, p=1.0)
@@ -293,7 +367,7 @@ def test_boundary_density_kept_on_body():
     # a replaced envelope rebuilds the arcs from the new fields
     wider = dataclasses.replace(density, envelope=2.0 * density.envelope)
     assert wider._mass == pytest.approx(2.0 * density._mass, rel=1e-15)
-    assert np.allclose(wider._arcs[0][4], 2.0 * density._arcs[0][4], rtol=1e-15, atol=0.0)
+    assert np.allclose(wider._cells[0][4], 2.0 * density._cells[0][4], rtol=1e-15, atol=0.0)
     # the densities die with the body, though each refers back to it
     ref = weakref.ref(body)
     del body, density, other, wider

@@ -8,7 +8,8 @@ Each digest is over exact float64 bits (float.hex):
   rotated recentered ellipse; one line per body follows, with that body's
   digest and the sampler's acceptance rate (p = 1, 20 000 points, seed 0);
 * ``means3d``: the same per-N means on the 2:1:1 ellipsoid and the ball in
-  space (schedule 8/12/16, 12 trials, p = 1);
+  space (schedule 8/12/16, 12 trials, p = 1), with one line per body as
+  above;
 * ``criterion10``: the determinism payload of acceptance criterion 10;
 * ``scalars``: the default-rule ``asa`` and ``weighted_asa`` (p = 1),
   ``kl_divergence`` (PQ, and QP normalized), ``hellinger`` and ``renyi``
@@ -96,14 +97,17 @@ def criterion10_payload():
     return _determinism_payload()
 
 
-def main():
-    bodies = _bodies()
-    means = _means(bodies, (1.0, 0.5), (250, 500, 1000))
-    print("%-12s %s" % ("means", _digest(means)))
+def _print_means(name, bodies, means):
+    print("%-12s %s" % (name, _digest(means)))
     for body in bodies:
         own = {k: v for k, v in means.items() if k.split("|")[0] == body.label}
         print("  %-30s %s  acceptance %.4f" % (body.label, _digest(own), _acceptance(body)))
-    print("%-12s %s" % ("means3d", _digest(_means(_spatial(), (1.0,), (8, 12, 16)))))
+
+
+def main():
+    bodies, spatial = _bodies(), _spatial()
+    _print_means("means", bodies, _means(bodies, (1.0, 0.5), (250, 500, 1000)))
+    _print_means("means3d", spatial, _means(spatial, (1.0,), (8, 12, 16)))
     print("%-12s %s" % ("criterion10", _digest(criterion10_payload())))
     print("%-12s %s" % ("scalars", _digest(_scalars(_bodies() + _spatial()))))
 
