@@ -103,9 +103,20 @@ def neg_log_generator():
         f_at_0=math.inf, fstar_at_0=0.0)
 
 
-def power_generator(alpha):
-    """f(t) = t^alpha: convex outside [0, 1], concave inside, linear at ends."""
+def _finite_alpha(alpha):
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite, got the non-finite value %r" % alpha)
+    return alpha
+
+
+def power_generator(alpha):
+    """f(t) = t^alpha: convex outside [0, 1], concave inside, linear at ends.
+
+    Raises:
+        ValueError: for a non-finite alpha.
+    """
+    alpha = _finite_alpha(alpha)
     if alpha in (0.0, 1.0):
         shape = "linear"
     elif 0.0 < alpha < 1.0:
@@ -263,8 +274,11 @@ def hellinger(body, index, alpha, rule=None):
     At alpha = p/(n+p) this equals the weighted L_p affine surface area;
     alpha=0 and alpha=1 give the total masses of Q and P.  Computed once
     per index, alpha and rule and kept on the body.
+
+    Raises:
+        ValueError: for a non-finite alpha.
     """
-    alpha = float(alpha)
+    alpha = _finite_alpha(alpha)
     _check_index(body, index)
     if rule is None:
         rule = default_rule(body.dim)
@@ -278,8 +292,8 @@ def hellinger(body, index, alpha, rule=None):
 
 
 def renyi(body, index, alpha, rule=None):
-    """Renyi divergence log(Hellinger_alpha) / (alpha - 1) for alpha != 1."""
-    alpha = float(alpha)
+    """Renyi divergence log(Hellinger_alpha) / (alpha - 1) for finite alpha != 1."""
+    alpha = _finite_alpha(alpha)
     if alpha == 1.0:
         raise ValueError("Renyi divergence is undefined at alpha = 1")
     return math.log(hellinger(body, index, alpha, rule)) / (alpha - 1.0)

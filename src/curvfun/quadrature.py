@@ -173,7 +173,7 @@ def integrate(rule, integrand):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise ValueError(
             "non-finite integrand value %r at node %d, u=%s"
-            % (values[bad], bad, rule.nodes[bad].tolist())
+            % (float(values[bad]), bad, rule.nodes[bad].tolist())
         )
     return _exact_sum(values * rule.weights)
 

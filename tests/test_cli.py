@@ -193,6 +193,15 @@ def test_divergence_unknown_gen_exits_2(corpus_dir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("gen", ["hellinger:nan", "renyi:inf", "power:nan"])
+def test_divergence_non_finite_alpha_exits_2(corpus_dir, capsys, gen):
+    code, out, err = run_cli(
+        ["divergence", "--body", str(corpus_dir / "ball2.json"), "--gen", gen], capsys)
+    assert code == 2
+    assert "alpha must be finite" in err
+    assert out == ""
+
+
 def test_verify_single_claims(corpus_dir, capsys):
     body = str(corpus_dir / "ellipse_2_1.json")
     for claim in ("holder3", "holdervol", "petty", "monotone"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,24 @@ def test_divergence_bad_input_stores_nothing():
         with pytest.raises(ValueError, match="non-finite"):
             cf.renyi(body, z, math.nan)
     assert len(body._cache) == size
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_refused_up_front(alpha):
+    # refused before any integrand is formed: no numpy warning, no entry
+    body = _fresh_body(2)
+    z = cf.WeightIndex.zero(2)
+    calls = {
+        "hellinger": lambda: cf.hellinger(body, z, alpha),
+        "renyi": lambda: cf.renyi(body, z, alpha),
+        "power_generator": lambda: cf.power_generator(alpha),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                call()
+    assert body._cache == {}
 
 
 def test_kl_closed_forms(ball2, ellipse21):

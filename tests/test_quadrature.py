@@ -82,6 +82,14 @@ def test_integrate_reports_nonfinite_node(bad):
         cf.integrate(rule, vals)
 
 
+def test_integrate_message_prints_plain_float():
+    # the offending value reads as a Python float, not numpy's scalar repr
+    vals = np.ones(16)
+    vals[3] = np.nan
+    with pytest.raises(ValueError, match=r"^non-finite integrand value nan at node 3, u="):
+        cf.integrate(cf.circle_rule(16), vals)
+
+
 def test_integrate_accepts_callable():
     rule = cf.circle_rule(32)
     assert abs(cf.integrate(rule, lambda u: np.ones(len(u))) - 2 * math.pi) < 1e-12
