@@ -293,7 +293,7 @@ def hellinger(body, index, alpha, rule=None):
 
 def renyi(body, index, alpha, rule=None):
     """Renyi divergence log(Hellinger_alpha) / (alpha - 1) for finite alpha != 1."""
-    alpha = _finite_alpha(alpha)
+    alpha = float(alpha)
     if alpha == 1.0:
         raise ValueError("Renyi divergence is undefined at alpha = 1")
     return math.log(hellinger(body, index, alpha, rule)) / (alpha - 1.0)

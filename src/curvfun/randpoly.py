@@ -572,8 +572,8 @@ def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
 
     Spatial runs cost seconds, mostly in qhull: on a 2-core host (Python
     3.11, numpy 2.4, scipy 1.17), over three runs on the default
-    schedule, the 2:1:1 ellipsoid took 1.9-2.6 s with 200 trials and
-    5.7-6.8 s with the default 512, and the ball 2.0-2.6 s and 5.3-6.7 s,
+    schedule, the 2:1:1 ellipsoid took 1.8-2.6 s with 200 trials and
+    4.2-6.8 s with the default 512, and the ball 1.7-2.2 s and 4.4-5.7 s,
     each including the 0.1-0.15 s hull of a new body's density.  They are
     refused unless allow_dim3 is set.
     """
