@@ -163,16 +163,6 @@ def _make_rule(spec, dim):
         raise UsageError(str(exc))
 
 
-def _parse_p(text):
-    try:
-        p = float(text)
-    except ValueError:
-        raise UsageError("--p expects a number or inf, got %r" % text)
-    if math.isnan(p) or p == -math.inf:
-        raise UsageError("--p expects a real number or +inf")
-    return p
-
-
 def _parse_p_grid(spec):
     """a:b:steps[:log] or a plain comma-separated list."""
     if ":" in spec:
@@ -228,9 +218,8 @@ def _cmd_eval(args):
     body = _load_body(args.body)
     index = _make_index(args, body.dim)
     rule = _make_rule(args.rule, body.dim)
-    p = _parse_p(args.p)
     try:
-        rec = _eval_record(body, index, p, rule)
+        rec = _eval_record(body, index, args.p, rule)
     except ValueError as exc:
         raise UsageError(str(exc))
     _emit([rec], args, columns=_EVAL_COLS)
@@ -252,22 +241,40 @@ def _cmd_sweep(args):
     return 0
 
 
+# --gen name -> (takes a parameter, --normalized applies, library call);
+# the call gets (body, index, rule, parameter, normalized)
+_GENERATORS = {
+    "kl": (False, True, lambda body, index, rule, alpha, norm: divergence.kl_divergence(
+        body, index, "PQ", rule, normalized=norm)),
+    "kl-rev": (False, True, lambda body, index, rule, alpha, norm: divergence.kl_divergence(
+        body, index, "QP", rule, normalized=norm)),
+    "hellinger": (True, False, lambda body, index, rule, alpha, norm: divergence.hellinger(
+        body, index, alpha, rule)),
+    "renyi": (True, False, lambda body, index, rule, alpha, norm: divergence.renyi(
+        body, index, alpha, rule)),
+    "power": (True, False, lambda body, index, rule, alpha, norm: divergence.f_divergence(
+        body, index, divergence.power_generator(alpha), rule)),
+    "sqrt": (False, False, lambda body, index, rule, alpha, norm: divergence.f_divergence(
+        body, index, divergence.sqrt_generator(), rule)),
+}
+_NORMALIZABLE = [name for name, (_, norm, _) in _GENERATORS.items() if norm]
+
+
 def _parse_gen(spec):
     name, _, arg = spec.partition(":")
-    needs_arg = name in ("hellinger", "renyi", "power")
-    if needs_arg:
-        if not arg:
-            raise UsageError("--gen %s needs a parameter, e.g. %s:0.5" % (name, name))
-        try:
-            alpha = float(arg)
-        except ValueError:
-            raise UsageError("--gen %s parameter must be a number, got %r" % (name, arg))
-        return name, alpha
-    if arg:
-        raise UsageError("--gen %s takes no parameter" % name)
-    if name not in ("kl", "kl-rev", "sqrt"):
+    if name not in _GENERATORS:
         raise UsageError("unknown generator %r" % spec)
-    return name, None
+    takes_arg, _, _ = _GENERATORS[name]
+    if not takes_arg:
+        if arg:
+            raise UsageError("--gen %s takes no parameter" % name)
+        return name, None
+    if not arg:
+        raise UsageError("--gen %s needs a parameter, e.g. %s:0.5" % (name, name))
+    try:
+        return name, float(arg)
+    except ValueError:
+        raise UsageError("--gen %s parameter must be a number, got %r" % (name, arg))
 
 
 def _cmd_divergence(args):
@@ -275,25 +282,12 @@ def _cmd_divergence(args):
     index = _make_index(args, body.dim)
     rule = _make_rule(args.rule, body.dim)
     name, alpha = _parse_gen(args.gen)
-    if args.normalized and name not in ("kl", "kl-rev"):
-        raise UsageError("--normalized only applies to the kl and kl-rev generators")
+    _, normalizable, call = _GENERATORS[name]
+    if args.normalized and not normalizable:
+        raise UsageError("--normalized only applies to the %s generators"
+                         % " and ".join(_NORMALIZABLE))
     try:
-        if name == "kl":
-            value = divergence.kl_divergence(body, index, "PQ", rule,
-                                             normalized=args.normalized)
-        elif name == "kl-rev":
-            value = divergence.kl_divergence(body, index, "QP", rule,
-                                             normalized=args.normalized)
-        elif name == "hellinger":
-            value = divergence.hellinger(body, index, alpha, rule)
-        elif name == "renyi":
-            value = divergence.renyi(body, index, alpha, rule)
-        elif name == "power":
-            value = divergence.f_divergence(body, index,
-                                            divergence.power_generator(alpha), rule)
-        else:
-            value = divergence.f_divergence(body, index,
-                                            divergence.sqrt_generator(), rule)
+        value = call(body, index, rule, alpha, args.normalized)
     except ValueError as exc:
         raise UsageError(str(exc))
     rec = {
@@ -303,7 +297,7 @@ def _cmd_divergence(args):
         "k": index.k,
         "i": list(index.i),
         "gen": args.gen,
-        "normalized": bool(args.normalized) if name in ("kl", "kl-rev") else False,
+        "normalized": args.normalized,
         "rule": rule.name,
         "value": value,
     }
@@ -409,7 +403,7 @@ def _cmd_mc_polytope(args):
     schedule = _parse_int_list(args.N, "--N")
     try:
         check = randpoly.interpretation_check(
-            body, p=_parse_p(args.p), index=index, n_schedule=schedule,
+            body, p=args.p, index=index, n_schedule=schedule,
             trials=args.trials, seed=args.seed, rule=rule,
             allow_dim3=args.dim_3_ok)
     except ValueError as exc:
@@ -493,7 +487,8 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate one weighted functional")
     _add_body_flag(p)
-    p.add_argument("--p", required=True, help="exponent p (inf for the polar limit)")
+    p.add_argument("--p", type=float, required=True,
+                   help="exponent p (inf for the polar limit)")
     _add_index_flags(p)
     _add_rule_flag(p)
     _add_format_flags(p)
@@ -511,10 +506,11 @@ def build_parser():
     p = sub.add_parser("divergence", help="f-divergences of the cone measures")
     _add_body_flag(p)
     _add_index_flags(p)
-    p.add_argument("--gen", required=True,
-                   help="kl | kl-rev | hellinger:A | renyi:A | power:A | sqrt")
+    p.add_argument("--gen", required=True, help=" | ".join(
+        name + (":A" if spec[0] else "") for name, spec in _GENERATORS.items()))
     p.add_argument("--normalized", action="store_true",
-                   help="normalize both measures to probability (kl/kl-rev only)")
+                   help="normalize both measures to probability (%s only)"
+                   % "/".join(_NORMALIZABLE))
     _add_rule_flag(p)
     _add_format_flags(p)
     p.set_defaults(func=_cmd_divergence)
@@ -538,7 +534,8 @@ def build_parser():
 
     p = sub.add_parser("mc-polytope", help="Monte Carlo hull-deficit check")
     _add_body_flag(p)
-    p.add_argument("--p", required=True, help="exponent p of the sampling density")
+    p.add_argument("--p", type=float, required=True,
+                   help="exponent p of the sampling density")
     _add_index_flags(p)
     p.add_argument("--N", required=True, metavar="N1,N2,...",
                    help="hull sizes (at least 3, distinct)")

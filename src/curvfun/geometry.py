@@ -39,6 +39,7 @@ __all__ = [
     "CurvatureGrid",
     "ConvexityError",
     "BodyConstructionError",
+    "MIN_RADIUS",
     "make_ball",
     "make_ellipsoid",
     "ellipsoid_matrix",

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._extrap import neville_to_zero, neville_weights
-from .functionals import (WeightIndex, _ZERO_INDEX, _power, _validate_p, asa_exponents,
-                          weighted_asa)
+from .functionals import (WeightIndex, _ZERO_INDEX, _check_index, _power, _validate_p,
+                          asa_exponents, weighted_asa)
 from .geometry import _cached, _check_positive, _curvature_core, body_volume, curvature_grid
 from .quadrature import _exact_sum, default_rule, integrate
 
@@ -105,18 +105,21 @@ def _arc_cells(rule):
 def _facet_cells(rule):
     # the spatial hat's cells: the triangles of the nodes' convex hull as
     # (K, 3) node indices, the three triangles next to each, and each
-    # triangle's outer unit normal and plane distance from the origin
+    # triangle's outer unit normal and plane distance from the origin.
+    # qhull sees the nodes in lexicographic order, so the cells do not
+    # depend on the rule's node order
     # imported here: scipy.spatial is most of the package's import time
     from scipy.spatial import ConvexHull
 
-    hull = ConvexHull(rule.nodes)
+    order = np.lexsort(rule.nodes.T)
+    hull = ConvexHull(rule.nodes[order])
     dist = -hull.equations[:, -1]
     if not np.min(dist) > 0.0:
         raise ValueError(
             "rule %r does not surround the origin: a face of its nodes' hull"
             " lies at distance %.6g; spatial sampling needs every face on"
             " the far side of the origin" % (rule.name, np.min(dist)))
-    return hull.simplices, hull.neighbors, hull.equations[:, :-1], dist
+    return order[hull.simplices], hull.neighbors, hull.equations[:, :-1], dist
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +133,8 @@ class BoundaryDensity:
 
     The sampler's hat is built over flat cells between rule nodes: in the
     plane the chords between consecutive nodes in angle order, in space the
-    triangles of the nodes' convex hull, as qhull gives them.  A cell lies
+    triangles of the nodes' convex hull, as qhull triangulates the nodes in
+    lexicographic order.  A cell lies
     in a plane at distance d_k from the origin, and a point p uniform on it
     gives the direction p / |p| a sphere density proportional to |p|^n, so
     the cell's hat c_k |p|^n with c_k = height_k / d_k^n is never below
@@ -224,6 +228,7 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     a repeated call returns the same object and dies with the body.
 
     Raises:
+        TypeError: if index is not a WeightIndex.
         ValueError: for symbolic p = inf (no sampling density there),
             mismatched index dimension, safety <= 1, a planar rule with a
             gap of pi or more between consecutive nodes, or a spatial rule
@@ -234,9 +239,7 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     p = _validate_p(body.dim, p)
     if not math.isfinite(p):
         raise ValueError("sampling densities need finite p")
-    if index.dim != body.dim:
-        raise ValueError("index dimension %d does not match body dimension %d"
-                         % (index.dim, body.dim))
+    _check_index(body, index)
     if not safety > 1.0:
         raise ValueError("safety must exceed 1")
     if rule is None:
@@ -364,9 +367,11 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     The planar stream differs from earlier 0.1.0 builds, which drew
     angles uniformly under one bound and later uniformly within each arc
     under a constant height.  The spatial stream differs from builds that
-    drew uniform directions under one bound; the spatial cells follow
-    qhull's triangulation of the rule nodes, so with a given scipy equal
-    seeds give equal samples.
+    drew uniform directions under one bound, and from builds that
+    triangulated the nodes in the rule's own order.  The spatial cells
+    follow qhull's triangulation of the nodes in lexicographic order, so
+    equal seeds give equal samples for a given scipy version, whatever the
+    rule's node order.
 
     The acceptance rate is known in advance, normalizer over the hat's
     integral over the sphere, so each round draws (need + 4

@@ -202,6 +202,45 @@ def test_divergence_non_finite_alpha_exits_2(corpus_dir, capsys, gen):
     assert out == ""
 
 
+@pytest.mark.parametrize("gen, flags, call", [
+    ("kl", [], lambda b, z: cf.kl_divergence(b, z, "PQ")),
+    ("kl-rev", [], lambda b, z: cf.kl_divergence(b, z, "QP")),
+    ("kl", ["--normalized"], lambda b, z: cf.kl_divergence(b, z, "PQ", normalized=True)),
+    ("kl-rev", ["--normalized"], lambda b, z: cf.kl_divergence(b, z, "QP", normalized=True)),
+    ("hellinger:0.5", [], lambda b, z: cf.hellinger(b, z, 0.5)),
+    ("renyi:0.5", [], lambda b, z: cf.renyi(b, z, 0.5)),
+    ("power:2", [], lambda b, z: cf.f_divergence(b, z, cf.power_generator(2.0))),
+    ("sqrt", [], lambda b, z: cf.f_divergence(b, z, cf.sqrt_generator())),
+], ids=["kl", "kl-rev", "kl-normalized", "kl-rev-normalized", "hellinger", "renyi",
+        "power", "sqrt"])
+@pytest.mark.parametrize("name", ["ellipse_2_1.json", "ellipsoid_2_1_1.json"])
+def test_divergence_matches_library(corpus_dir, capsys, name, gen, flags, call):
+    # each generator prints the library's value to the last bit
+    path = corpus_dir / name
+    code, out, err = run_cli(["divergence", "--body", str(path), "--gen", gen, "--json"]
+                             + flags, capsys)
+    assert code == 0, err
+    rec = json.loads(out)
+    body = cf.load_body(str(path))
+    assert rec["value"].hex() == call(body, cf.WeightIndex.zero(body.dim)).hex()
+    assert rec["normalized"] is bool(flags)
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("eval", ["--p", "nan"], "p must be a real number or +inf, got nan"),
+    ("eval", ["--p=-inf"], "p must be a real number or +inf, got -inf"),
+    ("eval", ["--p", "abc"], "invalid float value: 'abc'"),
+    ("mc-polytope", ["--p", "nan", "--N", "40,80,160", "--trials", "4", "--seed", "1"],
+     "p must be a real number or +inf, got nan"),
+], ids=["eval-nan", "eval-neg-inf", "eval-abc", "mc-polytope-nan"])
+def test_bad_p_exits_2(corpus_dir, capsys, command, flags, message):
+    code, out, err = run_cli([command, "--body", str(corpus_dir / "ball2.json")] + flags,
+                             capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_verify_single_claims(corpus_dir, capsys):
     body = str(corpus_dir / "ellipse_2_1.json")
     for claim in ("holder3", "holdervol", "petty", "monotone"):

@@ -144,14 +144,20 @@ def test_divergence_bad_input_stores_nothing():
         with pytest.raises(TypeError, match="WeightIndex"):
             cf.hellinger(body, (0, 0.0, (0,)), 0.5)
     assert body._cache == {}
-    # a non-finite integrand raises on every call and leaves no entry
+    # a non-finite alpha is refused on every call and leaves no entry
     cf.hellinger(body, z, 0.5)
     size = len(body._cache)
     for _ in range(2):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="alpha must be finite"):
             cf.hellinger(body, z, math.nan)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="alpha must be finite"):
             cf.renyi(body, z, math.nan)
+    assert len(body._cache) == size
+    # so is a finite alpha whose integrand overflows
+    for _ in range(2):
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="non-finite integrand value inf at node 0"):
+            cf.hellinger(body, z, 5000.0)
     assert len(body._cache) == size
 
 

@@ -241,16 +241,27 @@ def test_planar_sampling_law(request, fixture):
     assert info.acceptance_rate >= 0.6
 
 
+def _shuffled(rule, seed):
+    perm = np.random.default_rng(seed).permutation(len(rule))
+    return cf.SphereRule(rule.dim, rule.nodes[perm], rule.weights[perm], rule.name)
+
+
 def test_sample_boundary_ignores_rule_node_order(ellipse21, pball10):
-    # arcs are built from the sorted node angles, so a rule holding the
-    # same nodes and weights in another order samples the same points
+    # arcs are built from the sorted node angles, and qhull triangulates the
+    # nodes in lexicographic order, so a rule holding the same nodes and
+    # weights in another order samples the same points
     rule = cf.circle_rule(512)
-    perm = np.random.default_rng(3).permutation(512)
-    shuffled = cf.SphereRule(2, rule.nodes[perm], rule.weights[perm], rule.name)
     for body in (ellipse21, pball10):
         want = cf.sample_boundary(cf.boundary_density(body, p=1.0, rule=rule), 3000, seed=8)
-        got = cf.sample_boundary(cf.boundary_density(body, p=1.0, rule=shuffled), 3000, seed=8)
+        got = cf.sample_boundary(cf.boundary_density(body, p=1.0, rule=_shuffled(rule, 3)),
+                                 3000, seed=8)
         assert np.array_equal(got, want)
+    rule = cf.sphere_rule(16, 32)
+    body = cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 1.0]))
+    want = cf.sample_boundary(cf.boundary_density(body, p=1.0, rule=rule), 2000, seed=8)
+    got = cf.sample_boundary(cf.boundary_density(body, p=1.0, rule=_shuffled(rule, 3)),
+                             2000, seed=8)
+    assert np.array_equal(got, want)
 
 
 def _arc_rule(angles):
@@ -259,6 +270,12 @@ def _arc_rule(angles):
     nodes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     return cf.SphereRule(2, nodes, np.full(len(angles), 2.0 * math.pi / len(angles)),
                          str(len(angles)))
+
+
+def test_boundary_density_index_must_be_weight_index(ball2):
+    # the check every entry point shares, made before index.dim is read
+    with pytest.raises(TypeError, match="index must be a WeightIndex"):
+        cf.boundary_density(ball2, index=(0, 0.0, (0,)), p=1.0)
 
 
 def test_planar_rule_gap_of_pi_refused(ball2):

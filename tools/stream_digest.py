@@ -9,7 +9,8 @@ Each digest is over exact float64 bits (float.hex):
   digest and the sampler's acceptance rate (p = 1, 20 000 points, seed 0);
 * ``means3d``: the same per-N means on the 2:1:1 ellipsoid and the ball in
   space (schedule 8/12/16, 12 trials, p = 1), with one line per body as
-  above;
+  above, and one more for the ellipsoid on a shuffled copy of the default
+  rule, which must equal the ellipsoid's line;
 * ``criterion10``: the determinism payload of acceptance criterion 10;
 * ``scalars``: the default-rule ``asa`` and ``weighted_asa`` (p = 1),
   ``kl_divergence`` (PQ, and QP normalized), ``hellinger`` and ``renyi``
@@ -27,6 +28,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import curvfun as cf
 
@@ -49,12 +52,17 @@ def _spatial():
     return [cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 1.0])), cf.make_ball(3)]
 
 
-def _means(bodies, ps, schedule):
+def _shuffled(rule):
+    perm = np.random.default_rng(0).permutation(len(rule))
+    return cf.SphereRule(rule.dim, rule.nodes[perm], rule.weights[perm], rule.name)
+
+
+def _means(bodies, ps, schedule, rule=None):
     out = {}
     for seed, body in enumerate(bodies):
         for p in ps:
             mc = cf.interpretation_check(body, p=p, n_schedule=schedule, trials=12,
-                                         seed=seed, allow_dim3=body.dim == 3)
+                                         seed=seed, rule=rule, allow_dim3=body.dim == 3)
             out["%s|%g" % (body.label, p)] = [e.mean.hex() for e in mc.estimates]
     return out
 
@@ -84,8 +92,8 @@ def _digest(obj):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _acceptance(body):
-    density = cf.boundary_density(body, p=1.0)
+def _acceptance(body, rule=None):
+    density = cf.boundary_density(body, p=1.0, rule=rule)
     _, stats = cf.sample_boundary(density, 20000, seed=0, return_stats=True)
     return stats.acceptance_rate
 
@@ -97,17 +105,24 @@ def criterion10_payload():
     return _determinism_payload()
 
 
+def _print_body(name, body, means, rule=None):
+    own = {k: v for k, v in means.items() if k.split("|")[0] == body.label}
+    print("  %-30s %s  acceptance %.4f" % (name, _digest(own), _acceptance(body, rule)))
+
+
 def _print_means(name, bodies, means):
     print("%-12s %s" % (name, _digest(means)))
     for body in bodies:
-        own = {k: v for k, v in means.items() if k.split("|")[0] == body.label}
-        print("  %-30s %s  acceptance %.4f" % (body.label, _digest(own), _acceptance(body)))
+        _print_body(body.label, body, means)
 
 
 def main():
     bodies, spatial = _bodies(), _spatial()
     _print_means("means", bodies, _means(bodies, (1.0, 0.5), (250, 500, 1000)))
     _print_means("means3d", spatial, _means(spatial, (1.0,), (8, 12, 16)))
+    ellipsoid, rule = _spatial()[0], _shuffled(cf.default_rule(3))
+    _print_body(ellipsoid.label + " shuffled", ellipsoid,
+                _means([ellipsoid], (1.0,), (8, 12, 16), rule), rule)
     print("%-12s %s" % ("criterion10", _digest(criterion10_payload())))
     print("%-12s %s" % ("scalars", _digest(_scalars(_bodies() + _spatial()))))
 
