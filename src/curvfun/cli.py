@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -29,6 +30,11 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.13's pattern: "-1e3" and "-.5" are values, not options
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # single-line diagnostics on stderr, exit code 2, no usage dump
     def error(self, message):
         print("error: %s" % message, file=sys.stderr)

@@ -54,11 +54,14 @@ class WeightIndex:
     i: tuple
 
     def __post_init__(self):
+        i = tuple(self.i)
+        for name, vals in (("m", (self.m,)), ("k", (self.k,)), ("i", i)):
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.m != int(self.m) or self.m < 0:
             raise ValueError("m must be a nonnegative integer, got %r" % (self.m,))
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "k", float(self.k))
-        i = tuple(self.i)
         if len(i) not in (1, 2):
             raise ValueError("i must have length dim-1 (1 or 2), got %r" % (i,))
         if any(v != int(v) or v < 0 for v in i):
@@ -70,6 +73,12 @@ class WeightIndex:
             raise ValueError(
                 "weight constraint sum_j j*i_j = m violated: %r gives %d, m = %d"
                 % (i, weighted, self.m))
+        # the dataclass's own hash value, taken once: every cache key that
+        # holds an index hashes it on each lookup
+        object.__setattr__(self, "_hash", hash((self.m, self.k, self.i)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self):
@@ -95,7 +104,11 @@ class WeightIndex:
 
 @dataclass(frozen=True)
 class FunctionalValue:
-    """A functional evaluation together with what produced it."""
+    """A functional evaluation together with what produced it.
+
+    weighted_asa keeps the record on the body: a repeat with the same
+    index object gets this very record back, so treat it as shared.
+    """
 
     value: float
     p: float
@@ -150,18 +163,6 @@ def _weight_factor(s, h, index):
     return out
 
 
-def _omega_cached(body, index, p, rule):
-    def compute():
-        alpha, beta = asa_exponents(body.dim, p)
-        g = curvature_grid(body, rule)
-        vals = (_weight_factor(g.s, g.h, index)
-                * _power(g.s_top, 1.0 - alpha - index.sum_i)
-                * _power(g.h, -beta))
-        return integrate(rule, vals)
-
-    return _cached(body, ("omega", index, p, rule), compute)
-
-
 def weighted_asa(body, index, p, rule=None):
     """The weighted L_p affine surface area omega^p_{m,k,i}(K).
 
@@ -172,15 +173,28 @@ def weighted_asa(body, index, p, rule=None):
         rule: quadrature rule; defaults to the per-dimension default.
 
     Returns:
-        FunctionalValue whose .value is the integral.
+        FunctionalValue whose .value is the integral.  The body keeps the
+        first call's record, and a repeat with the same index object (and
+        the same sign of a zero p) returns that record itself.
     """
     _check_index(body, index)
     p = _validate_p(body.dim, p)
     if rule is None:
         rule = default_rule(body.dim)
-    value = _omega_cached(body, index, p, rule)
-    return FunctionalValue(value=value, p=p, index=index,
-                           body_label=body.label, rule_name=rule.name)
+
+    def compute():
+        alpha, beta = asa_exponents(body.dim, p)
+        g = curvature_grid(body, rule)
+        vals = (_weight_factor(g.s, g.h, index)
+                * _power(g.s_top, 1.0 - alpha - index.sum_i)
+                * _power(g.h, -beta))
+        return FunctionalValue(integrate(rule, vals), p, index, body.label, rule.name)
+
+    record = _cached(body, ("omega", index, p, rule), compute)
+    # the key matches an equal index and an equal p, and -0.0 == 0.0
+    if record.index is index and (p or math.copysign(1.0, p) == math.copysign(1.0, record.p)):
+        return record
+    return FunctionalValue(record.value, p, index, body.label, rule.name)
 
 
 # the zero index of each dimension, validated once

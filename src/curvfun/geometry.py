@@ -96,7 +96,10 @@ class SupportBody:
         ("volume", rule)                        body_volume
         ("polar_volume", rule)                  polar_volume
         ("omega", index, p, rule)               weighted_asa, asa and the
-                                                weighted volumes
+                                                weighted volumes; holds the
+                                                FunctionalValue, returned
+                                                itself to a repeat with the
+                                                same index object
         ("kl", index, direction, normalized, rule)
                                                 kl_divergence
         ("hellinger", index, alpha, rule)       hellinger, renyi

@@ -241,6 +241,35 @@ def test_bad_p_exits_2(corpus_dir, capsys, command, flags, message):
     assert out == ""
 
 
+def test_eval_non_finite_k_exits_2(tmp_path, capsys):
+    disk = tmp_path / "disk_r2.json"
+    disk.write_text(json.dumps({"dim": 2, "type": "ball", "radius": 2.0}))
+    code, out, err = run_cli(["eval", "--body", str(disk), "--p", "1", "--k", "inf"], capsys)
+    assert code == 2
+    assert "k must be finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("eval", []),
+    ("mc-polytope", ["--N", "40,80,160", "--trials", "2", "--seed", "1"]),
+])
+@pytest.mark.parametrize("p", ["-1e3", "-1.5e-2", "-.5"])
+def test_negative_scientific_p_is_a_value(corpus_dir, capsys, command, flags, p):
+    argv = [command, "--body", str(corpus_dir / "ball2.json")] + flags
+    code, out, err = run_cli(argv + ["--p", p], capsys)
+    assert code == 0, err
+    assert (code, out, err) == run_cli(argv + ["--p=" + p], capsys)
+
+
+def test_option_like_p_still_exits_2(corpus_dir, capsys):
+    code, out, err = run_cli(["eval", "--body", str(corpus_dir / "ball2.json"), "--p", "-x"],
+                             capsys)
+    assert code == 2
+    assert "expected one argument" in err
+    assert out == ""
+
+
 def test_verify_single_claims(corpus_dir, capsys):
     body = str(corpus_dir / "ellipse_2_1.json")
     for claim in ("holder3", "holdervol", "petty", "monotone"):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -164,6 +167,66 @@ def test_asa_shares_one_zero_index(ellipse21, ellipsoid211):
         assert first.index == zero
         assert cf.asa(body, 0.5).index is first.index
         assert first.value.hex() == cf.weighted_asa(body, zero, 1.0).value.hex()
+
+
+def test_weighted_asa_repeat_returns_the_record():
+    for dim, index in ((2, cf.WeightIndex(1, 0.5, (1,))), (3, cf.WeightIndex(2, 1.0, (0, 1)))):
+        body = cf.make_ellipsoid(dim, cf.ellipsoid_matrix([2.0, 1.0, 1.0][:dim]))
+        first = cf.weighted_asa(body, index, 1.0)
+        assert cf.weighted_asa(body, index, 1.0) is first
+        # an equal but distinct index gets a record that holds it
+        twin = cf.WeightIndex(index.m, index.k, index.i)
+        other = cf.weighted_asa(body, twin, 1.0)
+        assert other.index is twin and other is not first
+        assert other.value.hex() == first.value.hex()
+        # every field is that of a fresh body's first call
+        fresh = cf.make_ellipsoid(dim, cf.ellipsoid_matrix([2.0, 1.0, 1.0][:dim]))
+        want = cf.weighted_asa(fresh, index, 1.0)
+        for rec in (first, other):
+            for field in dataclasses.fields(rec):
+                got, ref = getattr(rec, field.name), getattr(want, field.name)
+                assert got == ref and type(got) is type(ref)
+            assert rec.value.hex() == want.value.hex()
+
+
+def test_weighted_asa_repeat_keeps_the_sign_of_a_zero_p():
+    body = cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 1.0]))
+    index = cf.WeightIndex.zero(2)
+    plus = cf.weighted_asa(body, index, 0.0)
+    minus = cf.weighted_asa(body, index, -0.0)
+    assert math.copysign(1.0, plus.p) == 1.0 and math.copysign(1.0, minus.p) == -1.0
+    assert minus.value.hex() == plus.value.hex()
+    assert cf.weighted_asa(body, index, 0.0) is plus
+
+
+def test_weight_index_hash_is_taken_once():
+    index = cf.WeightIndex(3, -1.0, (1, 1))
+    assert hash(index) == hash((3, -1.0, (1, 1)))
+    # the stored hash is not a field: equality, repr and asdict see (m, k, i) only
+    assert [f.name for f in dataclasses.fields(index)] == ["m", "k", "i"]
+    assert dataclasses.asdict(index) == {"m": 3, "k": -1.0, "i": (1, 1)}
+    assert repr(index) == "WeightIndex(m=3, k=-1.0, i=(1, 1))"
+    assert index == cf.WeightIndex(3, -1, [1, 1])
+    assert index != cf.WeightIndex(3, 0.0, (1, 1))
+    for twin in (pickle.loads(pickle.dumps(index)), copy.copy(index), copy.deepcopy(index),
+                 dataclasses.replace(index)):
+        assert twin == index and hash(twin) == hash(index)
+    moved = dataclasses.replace(index, k=2.5)
+    assert hash(moved) == hash((3, 2.5, (1, 1))) and moved != index
+
+
+@pytest.mark.parametrize("m, k, i, field", [
+    (0, math.inf, (0,), "k"),
+    (0, -math.inf, (0,), "k"),
+    (0, math.nan, (0,), "k"),
+    (math.inf, 0.0, (0,), "m"),
+    (math.nan, 0.0, (0,), "m"),
+    (1, 0.0, (math.inf,), "i"),
+    (0, 0.0, (0, math.nan), "i"),
+])
+def test_weight_index_refuses_non_finite(m, k, i, field):
+    with pytest.raises(ValueError, match="^%s must be finite" % field):
+        cf.WeightIndex(m, k, i)
 
 
 def test_lutwak_density(ball2, ellipse21):
