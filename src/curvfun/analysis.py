@@ -106,8 +106,6 @@ def petty_ratio_stats(body, rule=None):
     A spread below 1e-8 flags the body as a centered ellipsoid (on which
     the ratio is exactly constant).
     """
-    if rule is None:
-        rule = default_rule(body.dim)
     g = curvature_grid(body, rule)
     ratio = 1.0 / (g.s_top * g.h ** float(body.dim + 1))
     vmin, vmax = float(ratio.min()), float(ratio.max())
@@ -177,8 +175,6 @@ def verify_holder_three(body, index, r, s, t, rule=None):
     exactly on centered ellipsoids.
     """
     n = body.dim
-    if rule is None:
-        rule = default_rule(n)
     for p in (r, s, t):
         _validate_p(n, p)
     params = {"r": r, "s": s, "t": t, "m": index.m, "k": index.k, "i": list(index.i)}
@@ -209,8 +205,6 @@ def verify_holder_volume(body, index, r, t, rule=None):
     degenerates to equality exactly on centered ellipsoids.
     """
     n = body.dim
-    if rule is None:
-        rule = default_rule(n)
     for p in (r, t):
         _validate_p(n, p)
     params = {"r": r, "t": t, "m": index.m, "k": index.k, "i": list(index.i)}
@@ -237,8 +231,6 @@ def verify_k_interpolation(body, m, i, p, r, s, k, rule=None):
     Equality holds exactly on centered balls (constant support function).
     """
     n = body.dim
-    if rule is None:
-        rule = default_rule(n)
     if not (r < s < k):
         raise ValueError("k-slot triple must be ordered r < s < k, got %r" % ((r, s, k),))
     _validate_p(n, p)
@@ -291,8 +283,6 @@ def monotonicity_scan(body, index, p_grid=_MONOTONE_GRID, rule=None):
     than one breaks it), so no verdict is attached to it.
     """
     n = body.dim
-    if rule is None:
-        rule = default_rule(n)
     grid = _check_p_grid(n, p_grid, exclude_zero=True)
     params = {"p_grid": grid, "m": index.m, "k": index.k, "i": list(index.i)}
     log_om0 = math.log(_omega(body, index, 0.0, rule))
@@ -344,8 +334,6 @@ def limit_p_infinity(body, index, rule=None, p_schedule=_LIMIT_INF_SCHEDULE,
     constant Petty ratio to the power -n.
     """
     n = body.dim
-    if rule is None:
-        rule = default_rule(n)
     sched = _check_schedule(p_schedule)
     params = {"p_schedule": sched, "m": index.m, "k": index.k, "i": list(index.i)}
     log_ominf = math.log(_omega(body, index, math.inf, rule))
@@ -384,8 +372,6 @@ def limit_p_zero(body, index, rule=None, p_schedule=_LIMIT_ZERO_SCHEDULE,
     reported alongside.
     """
     n = body.dim
-    if rule is None:
-        rule = default_rule(n)
     sched = _check_schedule(p_schedule)
     params = {"p_schedule": sched, "m": index.m, "k": index.k, "i": list(index.i)}
     pol = polar_body(body)

@@ -32,8 +32,11 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Python 3.13's pattern: "-1e3" and "-.5" are values, not options
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # Python 3.13's pattern, widened to the non-finite spellings: "-1e3",
+        # "-.5" and "-inf" are values, not options, so each meets its
+        # domain check
+        self._negative_number_matcher = re.compile(
+            r"^-(?:\.?\d|(?:inf|infinity|nan)$)", re.I)
 
     # single-line diagnostics on stderr, exit code 2, no usage dump
     def error(self, message):

@@ -320,8 +320,6 @@ class JensenBound:
 
 def jensen_bound(body, index, gen, rule=None, tol=1e-10):
     """Evaluate the Jensen comparison for a generator of declared shape."""
-    if rule is None:
-        rule = default_rule(body.dim)
     lhs = f_divergence(body, index, gen, rule)
     om0 = weighted_asa(body, index, 0.0, rule).value
     ominf = weighted_asa(body, index, math.inf, rule).value

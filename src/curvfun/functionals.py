@@ -249,8 +249,6 @@ def mu_density(body, index, rule=None):
     s_{n-1} is the reverse Gauss map Jacobian).
     """
     _check_index(body, index)
-    if rule is None:
-        rule = default_rule(body.dim)
     g = curvature_grid(body, rule)
     return (_weight_factor(g.s, g.h, index)
             * _power(g.s_top, 1.0 - index.sum_i))

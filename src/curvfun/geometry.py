@@ -168,13 +168,15 @@ class CurvaturePoint:
 
 @dataclass(frozen=True)
 class CurvatureGrid:
-    """Per-node curvature data over a quadrature rule."""
+    """Per-node curvature data over a quadrature rule: the support values h
+    (L,) and the normalized symmetric functions s (L, dim) of the radii.
 
-    u: np.ndarray
+    Every integral reads only these; radii and H at the rule's nodes come
+    from curvature_arrays(body, rule.nodes).
+    """
+
     h: np.ndarray
-    radii: np.ndarray
     s: np.ndarray
-    H: np.ndarray
 
     @property
     def s_top(self):
@@ -188,8 +190,8 @@ class CurvatureGrid:
 
 def make_ball(dim, radius=1.0, label=None):
     """Centered ball. h = R, boundary point R*u, all radii equal to R."""
-    if radius <= 0:
-        raise BodyConstructionError("ball radius must be positive, got %g" % radius)
+    if not 0 < radius < math.inf:
+        raise BodyConstructionError("ball radius must be positive and finite, got %g" % radius)
     r = float(radius)
     eye = np.eye(dim)
 
@@ -220,8 +222,8 @@ def ellipsoid_matrix(semi_axes, rotation=None):
         rotation: optional orthogonal matrix applied to the body.
     """
     a = np.asarray(semi_axes, dtype=float)
-    if np.any(a <= 0):
-        raise BodyConstructionError("semi-axes must be positive, got %s" % a.tolist())
+    if not np.all((a > 0) & (a < math.inf)):
+        raise BodyConstructionError("semi-axes must be positive and finite, got %s" % a.tolist())
     m = np.diag(a * a)
     if rotation is not None:
         q = np.asarray(rotation, dtype=float)
@@ -240,6 +242,8 @@ def make_ellipsoid(dim, matrix, label=None):
     m = np.asarray(matrix, dtype=float)
     if m.shape != (dim, dim):
         raise BodyConstructionError("matrix shape %s does not match dim %d" % (m.shape, dim))
+    if not np.all(np.isfinite(m)):
+        raise BodyConstructionError("ellipsoid matrix must be finite, got %s" % m.tolist())
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
         raise BodyConstructionError("ellipsoid matrix must be symmetric")
     eigs = np.linalg.eigvalsh(m)
@@ -333,8 +337,8 @@ def make_perturbed_ball(dim, mode=3, eps=0.05, label=None, rule=None):
     Construction fails if the perturbation destroys positive curvature
     anywhere on the validation grid; the error names the largest usable eps.
     """
-    if eps < 0:
-        raise BodyConstructionError("eps must be nonnegative, got %g" % eps)
+    if not 0 <= eps < math.inf:
+        raise BodyConstructionError("eps must be nonnegative and finite, got %g" % eps)
     if dim == 2:
         if int(mode) != mode or mode < 3:
             raise BodyConstructionError("dim-2 perturbation mode must be an integer >= 3")
@@ -349,7 +353,7 @@ def make_perturbed_ball(dim, mode=3, eps=0.05, label=None, rule=None):
 
     if rule is None:
         rule = default_rule(dim)
-    h, radii, _, _ = _curvature_core(body, rule.nodes, check=False)
+    h, radii, _ = _curvature_core(body, rule.nodes, check=False)
     try:
         _check_positive(body, rule.nodes, h, radii)
     except ConvexityError:
@@ -502,14 +506,15 @@ def _tangent_frames(U):
 
 def _check_positive(body, U, h, radii, min_radius=MIN_RADIUS, note=""):
     # the one positivity test: every principal radius above min_radius,
-    # then every support value above 0; note is appended to the latter
+    # then every support value above 0, each written so that NaN fails;
+    # note is appended to the latter
     worst = radii.min()
-    if worst <= min_radius:
+    if not worst > min_radius:
         idx = int(np.unravel_index(np.argmin(radii), radii.shape)[0])
         raise ConvexityError(
             "tangential hessian eigenvalue %.6g <= %g at u=%s (body %r)"
             % (worst, min_radius, U[idx].tolist(), body.label))
-    if np.any(h <= 0):
+    if not np.all(h > 0):
         idx = int(np.argmin(h))
         raise ConvexityError(
             "support function %.6g <= 0 at u=%s (body %r)%s"
@@ -517,7 +522,8 @@ def _check_positive(body, U, h, radii, min_radius=MIN_RADIUS, note=""):
 
 
 def _curvature_core(body, U, check):
-    # curvature_arrays without the boundary points: (h, radii, s, H)
+    # curvature_arrays without the boundary points and the duals: (h,
+    # radii, s); radii feed the positivity test, h and s every integral
     h = np.asarray(body.support(U), dtype=float)
     hess = np.asarray(body.hessian(U), dtype=float)
     if body.dim == 2:
@@ -528,7 +534,6 @@ def _curvature_core(body, U, check):
         r = (t0 * hess[:, 0, 0] * t0 + t0 * hess[:, 0, 1] * t1
              + t1 * hess[:, 1, 0] * t0 + t1 * hess[:, 1, 1] * t1)
         radii = r[:, None]
-        s_top = r
         s = np.stack([np.ones_like(r), r], axis=1)
     else:
         t1, t2 = _tangent_frames(U)
@@ -538,15 +543,10 @@ def _curvature_core(body, U, check):
         mean = 0.5 * (b11 + b22)
         disc = np.sqrt(np.maximum(0.25 * (b11 - b22) ** 2 + b12 * b12, 0.0))
         radii = np.stack([mean - disc, mean + disc], axis=1)
-        s_top = b11 * b22 - b12 * b12
-        s = np.stack([np.ones_like(mean), mean, s_top], axis=1)
+        s = np.stack([np.ones_like(mean), mean, b11 * b22 - b12 * b12], axis=1)
     if check:
         _check_positive(body, U, h, radii)
-    # duality: H_j * s_{n-1} = s_{n-1-j}; unchecked, s_{n-1} may be 0, and
-    # the caller's positivity test, not a numpy warning, reports it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        H = s[:, ::-1] / s_top[:, None]
-    return h, radii, s, H
+    return h, radii, s
 
 
 def curvature_arrays(body, U, check=True):
@@ -561,7 +561,11 @@ def curvature_arrays(body, U, check=True):
         ConvexityError: if check is set and a radius is <= 1e-10.
     """
     U = np.asarray(U, dtype=float)
-    h, radii, s, H = _curvature_core(body, U, check)
+    h, radii, s = _curvature_core(body, U, check)
+    # duality: H_j * s_{n-1} = s_{n-1-j}; unchecked, s_{n-1} may be 0, and
+    # the caller's positivity test, not a numpy warning, reports it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        H = s[:, ::-1] / s[:, -1:]
     x = np.asarray(body.gradient(U), dtype=float)
     return h, x, radii, s, H
 
@@ -576,10 +580,10 @@ def curvature_grid(body, rule=None):
         rule = default_rule(body.dim)
 
     def compute():
-        h, radii, s, H = _curvature_core(body, rule.nodes, check=True)
-        for arr in (h, radii, s, H):
-            arr.setflags(write=False)
-        return CurvatureGrid(u=rule.nodes, h=h, radii=radii, s=s, H=H)
+        h, _, s = _curvature_core(body, rule.nodes, check=True)
+        h.setflags(write=False)
+        s.setflags(write=False)
+        return CurvatureGrid(h=h, s=s)
 
     return _cached(body, ("grid", rule), compute)
 
@@ -609,7 +613,7 @@ def check_c2plus(body, rule=None, min_radius=MIN_RADIUS):
     """
     if rule is None:
         rule = default_rule(body.dim)
-    h, radii, _, _ = _curvature_core(body, rule.nodes, check=False)
+    h, radii, _ = _curvature_core(body, rule.nodes, check=False)
     _check_positive(body, rule.nodes, h, radii, min_radius, "; origin not interior")
     return float(radii.min())
 
@@ -690,7 +694,7 @@ def recenter(body, c, rule=None):
     if rule is None:
         rule = default_rule(body.dim)
     h = out.support(rule.nodes)
-    if np.any(h <= 0):
+    if not np.all(h > 0):
         idx = int(np.argmin(h))
         raise ValueError(
             "point %s is not strictly interior: support becomes %.6g at u=%s"

@@ -141,16 +141,14 @@ class BoundaryDensity:
     height_k, and its mass is c_k d_k times the cell's length or area.  In
     the plane c_k = 2 height_k / (1 + a_k . b_k) and the mass is
     c_k (a_k x b_k) for the chord from a_k to b_k.  Cell k's height is
-    envelope times the largest sphere_values at the vertices of the cell
-    and of its neighbours, over max(sphere_values); in space the target at
-    the cell's normal counts too, since a coplanar polar cap of a product
-    rule has no node near the pole.  envelope is the heights' scale, not a
-    bound any proposal is tested against.  The cells and an alias table
-    over their masses are built from the fields on construction, so
-    dataclasses.replace(density, envelope=...) rescales every height.  A
-    planar rule leaving a gap of pi or more between consecutive nodes, or
-    a spatial rule whose hull does not surround the origin, is refused
-    with a ValueError.
+    safety times the largest sphere_values at the vertices of the cell and
+    of its neighbours; in space the target at the cell's normal counts
+    too, since a coplanar polar cap of a product rule has no node near the
+    pole.  The cells and an alias table over their masses are built from
+    the fields on construction, so dataclasses.replace(density,
+    safety=...) rescales every height.  A planar rule leaving a gap of pi
+    or more between consecutive nodes, or a spatial rule whose hull does
+    not surround the origin, is refused with a ValueError.
     """
 
     body: object
@@ -160,14 +158,14 @@ class BoundaryDensity:
     values: np.ndarray
     sphere_values: np.ndarray
     normalizer: float
-    envelope: float
     safety: float
 
     def __post_init__(self):
         # _cells holds the cells as rows (a, d_1, ..., d_{n-1}, c), a vertex
         # a and the edges d_i from it, and the alias table as (index +
         # acceptance threshold, alias) per cell; _mass is the hat's integral
-        # over the sphere
+        # over the sphere.  Heights are envelope * (peak / max v), which can
+        # round apart from safety * peak; the sample streams hang on them
         nodes, v = self.rule.nodes, self.sphere_values
         if self.body.dim == 2:
             tri, near = _arc_cells(self.rule)
@@ -191,6 +189,12 @@ class BoundaryDensity:
         object.__setattr__(self, "_cells", (table, *_alias_table(mass)))
         object.__setattr__(self, "_mass", float(np.sum(mass)))
 
+    @property
+    def envelope(self):
+        """safety times the largest sphere_values: the scale of the hat's
+        heights, not a bound any proposal is tested against."""
+        return self.safety * float(np.max(self.sphere_values))
+
     def target(self, U):
         """Sphere-side density f(x(u)) * s_{n-1}(u) at unit directions U.
 
@@ -199,7 +203,7 @@ class BoundaryDensity:
         """
         U = np.asarray(U, dtype=float)
         if self.body.support_radius is None:
-            h, _, s, _ = _curvature_core(self.body, U, check=True)
+            h, _, s = _curvature_core(self.body, U, check=True)
             s = s.T
         else:
             h, r = (np.asarray(v, dtype=float) for v in self.body.support_radius(U))
@@ -211,18 +215,19 @@ class BoundaryDensity:
 def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     """Tabulate the matched boundary density for (index, p) on a rule.
 
-    envelope is safety times the largest sphere-side value seen at the rule
-    nodes: the scale of the hat's heights, not a bound any proposal is
-    tested against.  The hat has one height per cell between rule nodes,
-    chords in the plane and the triangles of the nodes' convex hull in
-    space: safety times the largest value at the vertices of the cell and
-    of its neighbours, and in space at the cell's normal.  Proposals are
-    drawn on the cells under the hat c_k |p|^n (see BoundaryDensity), so
-    acceptance is about 1/safety on the 512-node circle; with the 64x128
-    sphere rule it is 0.56-0.67 on the ball, the 2:1:1 and 3:1:0.5
-    ellipsoids and an eps = 0.05 perturbed ball.  In space the hull costs
-    about 0.1-0.15 s per density.  A coarse rule can understate the true
-    maximum, which the sampler later reports as an EnvelopeError.
+    safety is the one scale of the hat's heights; the density's envelope
+    is safety times the largest sphere-side value at the rule nodes, not a
+    bound any proposal is tested against.  The hat has one height per cell
+    between rule nodes, chords in the plane and the triangles of the
+    nodes' convex hull in space: safety times the largest value at the
+    vertices of the cell and of its neighbours, and in space at the cell's
+    normal.  Proposals are drawn on the cells under the hat c_k |p|^n (see
+    BoundaryDensity), so acceptance is about 1/safety on the 512-node
+    circle; with the 64x128 sphere rule it is 0.56-0.67 on the ball, the
+    2:1:1 and 3:1:0.5 ellipsoids and an eps = 0.05 perturbed ball.  In
+    space the hull costs about 0.1-0.15 s per density.  A coarse rule can
+    understate the true maximum, which the sampler later reports as an
+    EnvelopeError.
 
     The density is kept on the body, keyed by (rule, index, p, safety), so
     a repeated call returns the same object and dies with the body.
@@ -251,12 +256,11 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
         f = _density_values(g.h, g.s.T, index, p)
         sphere = f * g.s_top
         z = integrate(rule, sphere)
-        env = safety * float(np.max(sphere))
         f.setflags(write=False)
         sphere.setflags(write=False)
         return BoundaryDensity(
             body=body, index=index, p=p, rule=rule, values=f, sphere_values=sphere,
-            normalizer=z, envelope=env, safety=safety)
+            normalizer=z, safety=safety)
 
     return _cached(body, ("density", rule, index, p, safety), compute)
 
@@ -288,14 +292,12 @@ class SampleStats(NamedTuple):
     """Counts of one sample_boundary call.
 
     accepted counts every accepted proposal of the rounds drawn, so it can
-    exceed the request.  envelope is the density's envelope, the scale of
-    the hat's heights, not a bound any proposal was tested against.
+    exceed the request.
     """
 
     accepted: int
     proposals: int
     acceptance_rate: float
-    envelope: float
 
 
 # proposal rows drawn in one sampler round at most, so a large safety
@@ -434,7 +436,7 @@ def _sample(density, count, rng):
     points = np.concatenate(chunks, axis=0)[:count]
     theta = np.concatenate(angles)[:count] if angles else None
     stats = SampleStats(accepted=accepted, proposals=proposals,
-                        acceptance_rate=accepted / proposals, envelope=density.envelope)
+                        acceptance_rate=accepted / proposals)
     return points, theta, stats
 
 

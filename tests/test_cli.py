@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,10 +230,13 @@ def test_divergence_matches_library(corpus_dir, capsys, name, gen, flags, call):
 @pytest.mark.parametrize("command, flags, message", [
     ("eval", ["--p", "nan"], "p must be a real number or +inf, got nan"),
     ("eval", ["--p=-inf"], "p must be a real number or +inf, got -inf"),
+    ("eval", ["--p", "-inf"], "p must be a real number or +inf, got -inf"),
+    ("eval", ["--p", "-Infinity"], "p must be a real number or +inf, got -inf"),
     ("eval", ["--p", "abc"], "invalid float value: 'abc'"),
     ("mc-polytope", ["--p", "nan", "--N", "40,80,160", "--trials", "4", "--seed", "1"],
      "p must be a real number or +inf, got nan"),
-], ids=["eval-nan", "eval-neg-inf", "eval-abc", "mc-polytope-nan"])
+], ids=["eval-nan", "eval-neg-inf", "eval-neg-inf-spaced", "eval-neg-infinity-spaced",
+        "eval-abc", "mc-polytope-nan"])
 def test_bad_p_exits_2(corpus_dir, capsys, command, flags, message):
     code, out, err = run_cli([command, "--body", str(corpus_dir / "ball2.json")] + flags,
                              capsys)
@@ -244,9 +248,30 @@ def test_bad_p_exits_2(corpus_dir, capsys, command, flags, message):
 def test_eval_non_finite_k_exits_2(tmp_path, capsys):
     disk = tmp_path / "disk_r2.json"
     disk.write_text(json.dumps({"dim": 2, "type": "ball", "radius": 2.0}))
-    code, out, err = run_cli(["eval", "--body", str(disk), "--p", "1", "--k", "inf"], capsys)
+    for k in ("inf", "-inf"):
+        code, out, err = run_cli(["eval", "--body", str(disk), "--p", "1", "--k", k], capsys)
+        assert code == 2
+        assert "k must be finite, got %s" % k in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"dim": 2, "type": "ball", "radius": math.nan}, "ball radius must be positive and finite"),
+    ({"dim": 3, "type": "ball", "radius": math.inf}, "ball radius must be positive and finite"),
+    ({"dim": 2, "type": "perturbed_ball", "mode": 3, "epsilon": math.nan},
+     "eps must be nonnegative and finite"),
+    ({"dim": 3, "type": "ellipsoid", "semi_axes": [1.0, math.nan, 2.0]},
+     "semi-axes must be positive and finite"),
+], ids=["radius-nan", "radius-inf", "epsilon-nan", "semi-axis-nan"])
+def test_non_finite_body_file_exits_2(tmp_path, capsys, spec, message):
+    # json writes NaN and Infinity, and json.load reads them back
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["eval", "--body", str(path), "--p", "1"], capsys)
     assert code == 2
-    assert "k must be finite" in err
+    assert "cannot load body" in err and message in err
     assert out == ""
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -389,6 +390,64 @@ def test_curvature_grid_caching(ball2, rule2):
     doubled = cf.SphereRule(2, rule2.nodes, 2.0 * rule2.weights, rule2.name)
     assert cf.curvature_grid(ball2, doubled) is not g1
     assert cf.asa(ball2, 1.0, doubled).value == 2.0 * cf.asa(ball2, 1.0, rule2).value
+
+
+def test_curvature_grid_holds_h_and_s(ellipse21, ellipsoid211, pball3d):
+    assert [f.name for f in dataclasses.fields(cf.CurvatureGrid)] == ["h", "s"]
+    # the grid's arrays are curvature_arrays' at the rule's nodes, bit for bit
+    for body in (ellipse21, ellipsoid211, pball3d):
+        rule = cf.default_rule(body.dim)
+        grid = cf.curvature_grid(body, rule)
+        h, _, _, s, _ = cf.curvature_arrays(body, rule.nodes)
+        assert grid.h.tobytes() == h.tobytes()
+        assert grid.s.tobytes() == s.tobytes()
+    # 8192 nodes of the 64x128 rule: h and s_0..s_2 as float64
+    assert grid.h.nbytes + grid.s.nbytes == 8192 * 4 * 8
+
+
+def _nan_support_body(dim):
+    # a unit ball's oracles with support values that are all NaN
+    ball = cf.make_ball(dim)
+    return cf.SupportBody(dim, lambda U: np.full(np.shape(U)[:-1], math.nan),
+                          ball.gradient, ball.hessian, "nan%d" % dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nan_support_fails_the_positivity_test(dim):
+    body = _nan_support_body(dim)
+    with pytest.raises(cf.ConvexityError, match="support function nan <= 0"):
+        cf.check_c2plus(body)
+    with pytest.raises(cf.ConvexityError, match="support function nan"):
+        cf.curvature_grid(body)
+    with pytest.raises(ValueError, match="not strictly interior"):
+        cf.recenter(body, np.zeros(dim))
+
+
+def test_nan_radius_fails_the_positivity_test():
+    ball = cf.make_ball(2)
+    body = cf.SupportBody(2, ball.support, ball.gradient,
+                          lambda U: math.nan * ball.hessian(U), "nan-hessian")
+    with pytest.raises(cf.ConvexityError, match="eigenvalue nan"):
+        cf.check_c2plus(body)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: cf.make_ball(3, math.nan), "ball radius must be positive and finite, got nan"),
+    (lambda: cf.make_ball(2, math.inf), "ball radius must be positive and finite, got inf"),
+    (lambda: cf.make_perturbed_ball(2, 3, math.nan),
+     "eps must be nonnegative and finite, got nan"),
+    (lambda: cf.make_perturbed_ball(3, 3, math.inf),
+     "eps must be nonnegative and finite, got inf"),
+    (lambda: cf.ellipsoid_matrix([1.0, math.nan, 2.0]),
+     "semi-axes must be positive and finite"),
+    (lambda: cf.make_ellipsoid(2, [[math.inf, 0.0], [0.0, 1.0]]),
+     "ellipsoid matrix must be finite"),
+], ids=["ball-nan", "ball-inf", "pert2-nan", "pert3-inf", "semi-axes-nan", "matrix-inf"])
+def test_constructors_refuse_non_finite_parameters(build, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cf.BodyConstructionError, match=message):
+            build()
 
 
 def test_curvature_cache_dies_with_body():

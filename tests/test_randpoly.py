@@ -96,7 +96,7 @@ def test_sample_boundary_sphere_latitude_law(ball3):
 
 def test_envelope_violation_detected(ball2):
     density = cf.boundary_density(ball2, p=1.0)
-    broken = dataclasses.replace(density, envelope=0.5)
+    broken = dataclasses.replace(density, safety=0.5)
     with pytest.raises(cf.EnvelopeError, match="u="):
         cf.sample_boundary(broken, 64, seed=0)
 
@@ -381,8 +381,8 @@ def test_boundary_density_kept_on_body():
     other = cf.boundary_density(body, p=1.0, safety=2.0)
     assert other is not density
     assert other.envelope == pytest.approx(density.envelope * 2.0 / 1.5, rel=1e-15)
-    # a replaced envelope rebuilds the arcs from the new fields
-    wider = dataclasses.replace(density, envelope=2.0 * density.envelope)
+    # a replaced safety rebuilds the arcs from the new fields
+    wider = dataclasses.replace(density, safety=2.0 * density.safety)
     assert wider._mass == pytest.approx(2.0 * density._mass, rel=1e-15)
     assert np.allclose(wider._cells[0][4], 2.0 * density._cells[0][4], rtol=1e-15, atol=0.0)
     # the densities die with the body, though each refers back to it
@@ -390,6 +390,19 @@ def test_boundary_density_kept_on_body():
     del body, density, other, wider
     gc.collect()
     assert ref() is None
+
+
+def test_envelope_is_safety_times_peak(ellipse21, ellipsoid211):
+    # safety is the density's one scale; envelope is read from it
+    names = [f.name for f in dataclasses.fields(cf.BoundaryDensity)]
+    assert "envelope" not in names and len(names) == 8
+    for body in (ellipse21, ellipsoid211):
+        density = cf.boundary_density(body, p=1.0, safety=1.7)
+        assert density.envelope == density.safety * np.max(density.sphere_values)
+        with pytest.raises(TypeError):
+            dataclasses.replace(density, envelope=2.0)
+    _, info = cf.sample_boundary(density, 10, seed=0, return_stats=True)
+    assert info._fields == ("accepted", "proposals", "acceptance_rate")
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,8 @@ Each digest is over exact float64 bits (float.hex):
   (alpha = 1/2), ``body_volume`` and ``polar_volume`` values of fresh
   copies of the 2-D and 3-D bodies above, each from a first call and a
   repeat, so cached values are compared with computed ones.
+* ``grids``: the default-rule curvature grid's ``h`` and ``s`` of fresh
+  copies of the same 2-D and 3-D bodies.
 
 Run it on two checkouts and compare the output:
 
@@ -87,6 +89,15 @@ def _scalars(bodies):
     return out
 
 
+def _grids(bodies):
+    out = {}
+    for body in bodies:
+        grid = cf.curvature_grid(body)
+        out[body.label] = [[v.hex() for v in grid.h.tolist()],
+                           [v.hex() for v in grid.s.ravel().tolist()]]
+    return out
+
+
 def _digest(obj):
     text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -125,6 +136,7 @@ def main():
                 _means([ellipsoid], (1.0,), (8, 12, 16), rule), rule)
     print("%-12s %s" % ("criterion10", _digest(criterion10_payload())))
     print("%-12s %s" % ("scalars", _digest(_scalars(_bodies() + _spatial()))))
+    print("%-12s %s" % ("grids", _digest(_grids(_bodies() + _spatial()))))
 
 
 if __name__ == "__main__":
