@@ -91,7 +91,11 @@ class SupportBody:
     only when its computation returns.  Keys are tuples tagged by kind, and
     a rule is part of a key by identity:
 
-        ("grid", rule)                          curvature_grid
+        ("grid", rule)                          curvature_grid; also kept
+                                                by a passing check_c2plus,
+                                                so a validating load_body
+                                                leaves the default rule's
+                                                grid on the body
         ("polar",)                              polar_body
         ("volume", rule)                        body_volume
         ("polar_volume", rule)                  polar_volume
@@ -203,8 +207,12 @@ def make_ball(dim, radius=1.0, label=None):
         return r * np.asarray(U, dtype=float)
 
     def hessian(U):
+        # r * (eye - u u^T), in one array
         U = np.asarray(U, dtype=float)
-        return r * (eye - U[..., :, None] * U[..., None, :])
+        out = U[..., :, None] * U[..., None, :]
+        np.subtract(eye, out, out=out)
+        out *= r
+        return out
 
     if label is None:
         label = "ball%d(r=%g)" % (dim, r)
@@ -266,8 +274,12 @@ def make_ellipsoid(dim, matrix, label=None):
         U = np.asarray(U, dtype=float)
         mu = np.einsum("ij,...j->...i", m, U)
         h = np.sqrt(np.einsum("...i,...i->...", U, mu))
-        outer = mu[..., :, None] * mu[..., None, :]
-        return (m - outer / (h * h)[..., None, None]) / h[..., None, None]
+        # (m - mu mu^T / h^2) / h, in one array
+        out = mu[..., :, None] * mu[..., None, :]
+        out /= (h * h)[..., None, None]
+        np.subtract(m, out, out=out)
+        out /= h[..., None, None]
+        return out
 
     support_radius = None
     if dim == 2:
@@ -340,7 +352,7 @@ def make_perturbed_ball(dim, mode=3, eps=0.05, label=None, rule=None):
     if not 0 <= eps < math.inf:
         raise BodyConstructionError("eps must be nonnegative and finite, got %g" % eps)
     if dim == 2:
-        if int(mode) != mode or mode < 3:
+        if not 3 <= float(mode) < math.inf or int(mode) != mode:
             raise BodyConstructionError("dim-2 perturbation mode must be an integer >= 3")
         body = _perturbed_disk(int(mode), float(eps), label)
     elif dim == 3:
@@ -494,14 +506,41 @@ def from_support(fn, dim, step=1e-5, label="fd-body"):
 
 
 def _tangent_frames(U):
-    # one smooth-enough orthonormal frame per node of u^perp in R^3
-    ez = np.array([0.0, 0.0, 1.0])
-    ex = np.array([1.0, 0.0, 0.0])
-    ref = np.where((np.abs(U[:, 2]) < 0.9)[:, None], ez, ex)
-    t1 = np.cross(ref, U)
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(U, t1)
-    return t1, t2
+    # one smooth-enough orthonormal frame per node of u^perp in R^3, as the
+    # component columns of t1 = ref x u / |ref x u| and t2 = u x t1, where
+    # ref is e_z, or e_x near the poles.  The cross products are written
+    # out in np.cross's operand order (a1*b2 - a2*b1, ...) and the norm as
+    # sqrt(a0*a0 + a1*a1 + a2*a2), so every bit is that of np.cross and
+    # np.linalg.norm
+    u0, u1, u2 = U[:, 0], U[:, 1], U[:, 2]
+    equatorial = np.abs(u2) < 0.9
+    ref0, ref2 = (~equatorial).astype(float), equatorial.astype(float)
+    a0 = 0.0 * u2 - ref2 * u1
+    a1 = ref2 * u0 - ref0 * u2
+    a2 = ref0 * u1 - 0.0 * u0
+    norm = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    a0 /= norm
+    a1 /= norm
+    a2 /= norm
+    return (a0, a1, a2), (u1 * a2 - u2 * a1, u2 * a0 - u0 * a2, u0 * a1 - u1 * a0)
+
+
+def _tangential_forms(hess, t1, t2):
+    # (t1.H.t1, t1.H.t2, t2.H.t2) as 9-term sums of a[i] * H[:, i, j] * b[j]
+    # accumulated in (i, j) order: einsum("li,lij,lj->l")'s products and
+    # sums, bit for bit, without its temporaries; t1[i] * H[:, i, j] is
+    # formed once for the first two forms
+    b11, b12, b22 = (np.zeros(len(hess)) for _ in range(3))
+    left, term = np.empty(len(hess)), np.empty(len(hess))
+    for i in range(3):
+        for j in range(3):
+            col = hess[:, i, j]
+            np.multiply(t1[i], col, out=left)
+            b11 += np.multiply(left, t1[j], out=term)
+            b12 += np.multiply(left, t2[j], out=term)
+            np.multiply(t2[i], col, out=left)
+            b22 += np.multiply(left, t2[j], out=term)
+    return b11, b12, b22
 
 
 def _check_positive(body, U, h, radii, min_radius=MIN_RADIUS, note=""):
@@ -523,7 +562,10 @@ def _check_positive(body, U, h, radii, min_radius=MIN_RADIUS, note=""):
 
 def _curvature_core(body, U, check):
     # curvature_arrays without the boundary points and the duals: (h,
-    # radii, s); radii feed the positivity test, h and s every integral
+    # radii, s); radii feed the positivity test, h and s every integral.
+    # check only adds the test, so both values give the same arrays.  In
+    # space the frames, forms, radii and s are explicit arithmetic in the
+    # operation order of np.cross, np.linalg.norm and einsum, so their bits
     h = np.asarray(body.support(U), dtype=float)
     hess = np.asarray(body.hessian(U), dtype=float)
     if body.dim == 2:
@@ -536,14 +578,26 @@ def _curvature_core(body, U, check):
         radii = r[:, None]
         s = np.stack([np.ones_like(r), r], axis=1)
     else:
-        t1, t2 = _tangent_frames(U)
-        b11 = np.einsum("li,lij,lj->l", t1, hess, t1)
-        b12 = np.einsum("li,lij,lj->l", t1, hess, t2)
-        b22 = np.einsum("li,lij,lj->l", t2, hess, t2)
-        mean = 0.5 * (b11 + b22)
-        disc = np.sqrt(np.maximum(0.25 * (b11 - b22) ** 2 + b12 * b12, 0.0))
-        radii = np.stack([mean - disc, mean + disc], axis=1)
-        s = np.stack([np.ones_like(mean), mean, b11 * b22 - b12 * b12], axis=1)
+        # radii = mean -+ disc, the eigenvalues of [[b11, b12], [b12, b22]],
+        # and s = (1, mean, det), for mean = 0.5 * (b11 + b22), det = b11 *
+        # b22 - b12 * b12 and disc = sqrt(max(0.25 * (b11 - b22)**2 + b12 *
+        # b12, 0)): computed in that operation order, in place
+        b11, b12, b22 = _tangential_forms(hess, *_tangent_frames(U))
+        s = np.empty((len(U), 3))
+        s[:, 0] = 1.0
+        mean = np.add(b11, b22, out=s[:, 1])
+        mean *= 0.5
+        b12 *= b12
+        np.multiply(b11, b22, out=s[:, 2])
+        s[:, 2] -= b12
+        disc = np.subtract(b11, b22, out=b11)
+        disc *= disc
+        disc *= 0.25
+        disc += b12
+        np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+        radii = np.empty((len(U), 2))
+        np.subtract(mean, disc, out=radii[:, 0])
+        np.add(mean, disc, out=radii[:, 1])
     if check:
         _check_positive(body, U, h, radii)
     return h, radii, s
@@ -570,20 +624,25 @@ def curvature_arrays(body, U, check=True):
     return h, x, radii, s, H
 
 
+def _read_only_grid(h, s):
+    h.setflags(write=False)
+    s.setflags(write=False)
+    return CurvatureGrid(h=h, s=s)
+
+
 def curvature_grid(body, rule=None):
     """Curvature data of the body at the rule's nodes, read-only.
 
     Computed once per rule and kept on the body; the rule is a key by
-    identity, so a rule built anew is a new entry.
+    identity, so a rule built anew is a new entry.  A passing check_c2plus
+    on the same rule has usually stored it already.
     """
     if rule is None:
         rule = default_rule(body.dim)
 
     def compute():
         h, _, s = _curvature_core(body, rule.nodes, check=True)
-        h.setflags(write=False)
-        s.setflags(write=False)
-        return CurvatureGrid(h=h, s=s)
+        return _read_only_grid(h, s)
 
     return _cached(body, ("grid", rule), compute)
 
@@ -609,13 +668,21 @@ def curvature_at(body, u):
 def check_c2plus(body, rule=None, min_radius=MIN_RADIUS):
     """Validate positive curvature and positive support on the rule's nodes.
 
-    Returns the minimal tangential hessian eigenvalue found.
+    Returns the minimal tangential hessian eigenvalue found.  The h and s
+    computed on the way are the curvature grid's, bit for bit, so when
+    every radius also clears MIN_RADIUS (the grid's own test) they are
+    kept as the body's grid for the rule, and the first integral finds it.
+    A failing check keeps nothing, and neither does a min_radius below
+    MIN_RADIUS that passes a radius the grid would refuse.
     """
     if rule is None:
         rule = default_rule(body.dim)
-    h, radii, _ = _curvature_core(body, rule.nodes, check=False)
+    h, radii, s = _curvature_core(body, rule.nodes, check=False)
     _check_positive(body, rule.nodes, h, radii, min_radius, "; origin not interior")
-    return float(radii.min())
+    worst = float(radii.min())
+    if worst > MIN_RADIUS:
+        _cached(body, ("grid", rule), lambda: _read_only_grid(h, s))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +773,12 @@ def transform(body, arg):
     """Apply an orthogonal map (dim x dim array) or a positive scale factor.
 
     Rotation Q: h'(u) = h(Q^T u) with gradient and hessian conjugated by Q.
-    Scale a > 0: h, gradient and hessian all scale linearly.
+    Scale 0 < a < inf: h, gradient and hessian all scale linearly.
     """
     if np.isscalar(arg):
         a = float(arg)
-        if a <= 0:
-            raise ValueError("scale factor must be positive, got %g" % a)
+        if not 0 < a < math.inf:
+            raise ValueError("scale factor must be positive and finite, got %g" % a)
         label, polar_arg = "%s*%g" % (body.label, a), 1.0 / a
 
         def support(U):
@@ -784,6 +851,8 @@ def body_from_dict(spec, label=None, validate=True):
     Recognized keys: dim (2 or 3), type ("ball" | "ellipsoid" |
     "perturbed_ball"), radius, matrix, semi_axes, rotation, mode, epsilon,
     translate, label. Unknown keys other than "provenance" are rejected.
+    With validate set, the body passes check_c2plus on the default rule
+    and so keeps that rule's curvature grid from the start.
     """
     if not isinstance(spec, dict):
         raise ValueError("body spec must be a JSON object")
@@ -831,7 +900,11 @@ def body_from_dict(spec, label=None, validate=True):
 
 
 def load_body(path, validate=True):
-    """Load a body specification JSON file; the label defaults to the stem."""
+    """Load a body specification JSON file; the label defaults to the stem.
+
+    A validated body holds its default-rule curvature grid (see
+    body_from_dict), built once by the check.
+    """
     path = Path(path)
     with open(path) as fh:
         try:

@@ -262,7 +262,11 @@ def test_eval_non_finite_k_exits_2(tmp_path, capsys):
      "eps must be nonnegative and finite"),
     ({"dim": 3, "type": "ellipsoid", "semi_axes": [1.0, math.nan, 2.0]},
      "semi-axes must be positive and finite"),
-], ids=["radius-nan", "radius-inf", "epsilon-nan", "semi-axis-nan"])
+    ({"dim": 2, "type": "perturbed_ball", "mode": math.inf, "epsilon": 0.05},
+     "mode must be an integer >= 3"),
+    ({"dim": 2, "type": "perturbed_ball", "mode": math.nan, "epsilon": 0.05},
+     "mode must be an integer >= 3"),
+], ids=["radius-nan", "radius-inf", "epsilon-nan", "semi-axis-nan", "mode-inf", "mode-nan"])
 def test_non_finite_body_file_exits_2(tmp_path, capsys, spec, message):
     # json writes NaN and Infinity, and json.load reads them back
     path = tmp_path / "bad.json"

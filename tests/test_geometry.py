@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvfun as cf
+from curvfun import geometry
 
 
 def test_ball_curvature_data(ball2, ball3, rule2, rule3):
@@ -254,6 +255,12 @@ def test_transform_scaling(ellipse21):
     assert abs(cf.polar_volume(big) - cf.polar_volume(ellipse21) / 4) < 1e-8
     with pytest.raises(ValueError):
         cf.transform(ellipse21, -1.0)
+    # a non-finite scale is refused by name, before any oracle warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="positive and finite, got %g" % scale):
+                cf.transform(ellipse21, scale)
 
 
 def test_transform_rotation(ellipse21, rng):
@@ -513,3 +520,127 @@ def test_ellipse_volume_formula(a, b, angle):
     M = cf.ellipsoid_matrix([a, b], rotation=q)
     body = cf.make_ellipsoid(2, M)
     assert abs(cf.body_volume(body) - math.pi * a * b) < 1e-8 * max(1.0, a * b)
+
+
+_LENGTHS = [1, 2, 3, 7, 8, 100, 8192]
+
+
+@pytest.mark.parametrize("nodes", _LENGTHS + ["64x128", "16x32"])
+def test_tangent_frames_match_cross(nodes, rng):
+    # the frames are np.cross and np.linalg.norm written out: same bits
+    if isinstance(nodes, str):
+        U = cf.parse_rule_spec(nodes, 3).nodes
+    else:
+        U = rng.standard_normal((nodes, 3))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+    ref = np.where((np.abs(U[:, 2]) < 0.9)[:, None], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    t1 = np.cross(ref, U)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(U, t1)
+    f1, f2 = geometry._tangent_frames(U)
+    assert np.stack(f1, axis=1).tobytes() == t1.tobytes()
+    assert np.stack(f2, axis=1).tobytes() == t2.tobytes()
+
+
+def _einsum_forms(hess, t1, t2):
+    t1, t2 = np.stack(t1, axis=1), np.stack(t2, axis=1)
+    return [np.einsum("li,lij,lj->l", a, hess, b) for a, b in ((t1, t1), (t1, t2), (t2, t2))]
+
+
+@pytest.mark.parametrize("length", _LENGTHS)
+def test_tangential_forms_match_einsum_on_random_stacks(length, rng):
+    for _ in range(5):
+        hess = rng.standard_normal((length, 3, 3))
+        t1, t2 = tuple(rng.standard_normal((3, length))), tuple(rng.standard_normal((3, length)))
+        forms = geometry._tangential_forms(hess, t1, t2)
+        for got, want in zip(forms, _einsum_forms(hess, t1, t2)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_curvature_core_matches_einsum_on_default_rule():
+    c, s = math.cos(0.7), math.sin(0.7)
+    q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    bodies = [cf.make_ball(3), _fresh_ellipsoid(3),
+              cf.make_ellipsoid(3, cf.ellipsoid_matrix([3.0, 1.0, 0.5], q)),
+              cf.make_perturbed_ball(3, mode=3, eps=0.05)]
+    U = cf.default_rule(3).nodes
+    frames = geometry._tangent_frames(U)
+    for body in bodies:
+        hess = body.hessian(U)
+        b11, b12, b22 = _einsum_forms(hess, *frames)
+        forms = geometry._tangential_forms(hess, *frames)
+        assert [f.tobytes() for f in forms] == [f.tobytes() for f in (b11, b12, b22)]
+        # the radii and s as whole-array expressions of the einsum forms
+        mean = 0.5 * (b11 + b22)
+        disc = np.sqrt(np.maximum(0.25 * (b11 - b22) ** 2 + b12 * b12, 0.0))
+        _, radii, s = geometry._curvature_core(body, U, check=True)
+        assert radii.tobytes() == np.stack([mean - disc, mean + disc], axis=1).tobytes()
+        want = np.stack([np.ones_like(mean), mean, b11 * b22 - b12 * b12], axis=1)
+        assert s.tobytes() == want.tobytes()
+
+
+def _spec_files(tmp_path):
+    specs = {
+        "disk": {"dim": 2, "type": "ball", "radius": 1.5},
+        "ellipse": {"dim": 2, "type": "ellipsoid", "semi_axes": [2.0, 1.0]},
+        "pdisk": {"dim": 2, "type": "perturbed_ball", "mode": 3, "epsilon": 0.05},
+        "ball": {"dim": 3, "type": "ball"},
+        "ellipsoid": {"dim": 3, "type": "ellipsoid", "semi_axes": [2.0, 1.0, 1.0]},
+        "shifted": {"dim": 3, "type": "ellipsoid", "semi_axes": [2.0, 1.0, 1.0],
+                    "translate": [0.1, 0.0, -0.2]},
+    }
+    for name, spec in specs.items():
+        (tmp_path / (name + ".json")).write_text(json.dumps(spec))
+    return specs
+
+
+def test_validated_load_keeps_the_default_grid(tmp_path):
+    for name, spec in _spec_files(tmp_path).items():
+        rule = cf.default_rule(spec["dim"])
+        body = cf.load_body(tmp_path / (name + ".json"))
+        grid = body._cache[("grid", rule)]
+        assert cf.curvature_grid(body) is grid
+        assert not grid.h.flags.writeable and not grid.s.flags.writeable
+        # the same bits as the grid of a body that was never checked
+        fresh = cf.curvature_grid(cf.body_from_dict(spec, validate=False))
+        assert grid.h.tobytes() == fresh.h.tobytes()
+        assert grid.s.tobytes() == fresh.s.tobytes()
+
+
+def test_no_grid_kept_without_a_passing_check(tmp_path):
+    _spec_files(tmp_path)
+    body = cf.load_body(tmp_path / "ellipsoid.json", validate=False)
+    assert body._cache == {}
+
+    def h(U):
+        U = np.asarray(U, dtype=float)
+        return 1.0 + 0.3 * np.cos(3 * np.arctan2(U[..., 1], U[..., 0]))
+
+    wavy = cf.from_support(h, 2, label="wavy")
+    with pytest.raises(cf.ConvexityError):
+        cf.check_c2plus(wavy)
+    assert wavy._cache == {}
+    # radii of 5e-11 pass a 1e-12 check but not the grid's own 1e-10 test
+    tiny = cf.make_ball(3, 5e-11)
+    assert cf.check_c2plus(tiny, min_radius=1e-12) == pytest.approx(5e-11)
+    assert tiny._cache == {}
+    with pytest.raises(cf.ConvexityError, match="eigenvalue"):
+        cf.curvature_grid(tiny)
+    # a lower min_radius whose radii all clear 1e-10 keeps the grid
+    ball = cf.make_ball(3)
+    cf.check_c2plus(ball, min_radius=1e-12)
+    assert ("grid", cf.default_rule(3)) in ball._cache
+
+
+def test_check_then_integral_evaluates_the_hessian_once():
+    base = _fresh_ellipsoid(3)
+    calls = []
+
+    def hessian(U):
+        calls.append(len(U))
+        return base.hessian(U)
+
+    body = cf.SupportBody(3, base.support, base.gradient, hessian, "counted")
+    cf.check_c2plus(body)
+    cf.asa(body, 1.0)
+    assert calls == [len(cf.default_rule(3).nodes)]

@@ -19,6 +19,9 @@ Each digest is over exact float64 bits (float.hex):
   repeat, so cached values are compared with computed ones.
 * ``grids``: the default-rule curvature grid's ``h`` and ``s`` of fresh
   copies of the same 2-D and 3-D bodies.
+* ``loaded``: the default-rule grid's ``h`` and ``s`` and ``asa`` (p = 1)
+  of the ``corpus-gen`` bodies read back through ``load_body``, whose
+  validation may already hold the grid.
 
 Run it on two checkouts and compare the output:
 
@@ -29,11 +32,13 @@ import hashlib
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import curvfun as cf
+from curvfun import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,6 +103,18 @@ def _grids(bodies):
     return out
 
 
+def _loaded():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in map(Path, cli.corpus_gen(tmp)):
+            body = cf.load_body(path)
+            grid = cf.curvature_grid(body)
+            out[path.stem] = [[v.hex() for v in grid.h.tolist()],
+                              [v.hex() for v in grid.s.ravel().tolist()],
+                              cf.asa(body, 1.0).value.hex()]
+    return out
+
+
 def _digest(obj):
     text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -137,6 +154,7 @@ def main():
     print("%-12s %s" % ("criterion10", _digest(criterion10_payload())))
     print("%-12s %s" % ("scalars", _digest(_scalars(_bodies() + _spatial()))))
     print("%-12s %s" % ("grids", _digest(_grids(_bodies() + _spatial()))))
+    print("%-12s %s" % ("loaded", _digest(_loaded())))
 
 
 if __name__ == "__main__":
