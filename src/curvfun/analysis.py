@@ -259,6 +259,8 @@ def _check_p_grid(n, p_grid, exclude_zero):
     if len(set(grid)) != len(grid):
         raise ValueError("p grid entries must be distinct")
     for p in grid:
+        if not math.isfinite(p):
+            raise ValueError("p grid entries must be finite, got %r" % p)
         _validate_p(n, p)
         if exclude_zero and p == 0.0:
             raise ValueError("p grid must not contain 0")
@@ -318,6 +320,9 @@ def _check_schedule(sched, minimum=3):
         raise ValueError("schedule too short to extrapolate (need >= %d points)" % minimum)
     if len(set(sched)) != len(sched):
         raise ValueError("schedule entries must be distinct")
+    for v in sched:
+        if not math.isfinite(v):
+            raise ValueError("schedule entries must be finite, got %r" % v)
     return sched
 
 
@@ -373,6 +378,8 @@ def limit_p_zero(body, index, rule=None, p_schedule=_LIMIT_ZERO_SCHEDULE,
     """
     n = body.dim
     sched = _check_schedule(p_schedule)
+    if 0.0 in sched:
+        raise ValueError("p schedule must not contain 0 (G(p) divides by p)")
     params = {"p_schedule": sched, "m": index.m, "k": index.k, "i": list(index.i)}
     pol = polar_body(body)
     log_om0 = math.log(_omega(pol, index, 0.0, rule))

@@ -469,7 +469,7 @@ def corpus_gen(out_dir):
     for name, spec in _CORPUS_SPECS:
         spec = dict(spec)
         spec["provenance"] = "curvfun corpus-gen %s" % __version__
-        geometry.body_from_dict(spec, label=name[:-5], validate=True)
+        geometry.body_from_dict(spec, label=name[:-5])
         path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
             fh.write(json.dumps(spec, sort_keys=True, indent=2) + "\n")

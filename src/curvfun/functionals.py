@@ -236,7 +236,7 @@ def lutwak_density(body, p, u):
     """
     alpha, beta = asa_exponents(body.dim, p)
     u = np.asarray(u, dtype=float)
-    h, _, _, s, _ = curvature_arrays(body, u[None, :], check=True)
+    h, _, _, s, _ = curvature_arrays(body, u[None, :])
     val = _power(s[:, -1], 1.0 - alpha) * _power(h, -beta)
     return float(val[0])
 

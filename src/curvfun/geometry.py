@@ -19,9 +19,9 @@ the radii (sphere side) and, by duality, the normalized symmetric functions
 H_j of the principal curvatures at the boundary point: H_j * s_{n-1} equals
 s_{n-1-j}, and H_{n-1} is the Gauss curvature 1/s_{n-1}.
 
-All constructors produce bodies of positive curvature; the curvature grid
-refuses to integrate anything whose minimal tangential hessian eigenvalue
-drops to 1e-10 or below.
+Building a body's curvature grid validates it: curvature_grid refuses a
+minimal tangential hessian eigenvalue of 1e-10 or below and a support
+value of 0 or below.
 """
 
 import json
@@ -91,11 +91,10 @@ class SupportBody:
     only when its computation returns.  Keys are tuples tagged by kind, and
     a rule is part of a key by identity:
 
-        ("grid", rule)                          curvature_grid; also kept
-                                                by a passing check_c2plus,
-                                                so a validating load_body
-                                                leaves the default rule's
-                                                grid on the body
+        ("grid", rule)                          curvature_grid, which is the
+                                                validation: the loaders and
+                                                make_perturbed_ball keep the
+                                                default rule's grid
         ("polar",)                              polar_body
         ("volume", rule)                        body_volume
         ("polar_volume", rule)                  polar_volume
@@ -339,15 +338,15 @@ def _harmonic_sectoral3_hess(U):
     return h
 
 
-def make_perturbed_ball(dim, mode=3, eps=0.05, label=None, rule=None):
+def make_perturbed_ball(dim, mode=3, eps=0.05, label=None):
     """Unit ball with a single-mode support perturbation.
 
     dim 2: h(theta) = 1 + eps*cos(L*theta) for an integer mode L >= 3.
     dim 3: h(u) = 1 + eps*P(u) for a fixed odd harmonic polynomial P chosen
     by mode id (currently mode 3, the degree-3 sectoral harmonic x^3-3xy^2).
 
-    Construction fails if the perturbation destroys positive curvature
-    anywhere on the validation grid; the error names the largest usable eps.
+    Validated by building the default rule's curvature grid, which the
+    body keeps; on failure the error names the largest usable eps.
     """
     if not 0 <= eps < math.inf:
         raise BodyConstructionError("eps must be nonnegative and finite, got %g" % eps)
@@ -363,12 +362,10 @@ def make_perturbed_ball(dim, mode=3, eps=0.05, label=None, rule=None):
     else:
         raise ValueError("only dimensions 2 and 3 are supported")
 
-    if rule is None:
-        rule = default_rule(dim)
-    h, radii, _ = _curvature_core(body, rule.nodes, check=False)
     try:
-        _check_positive(body, rule.nodes, h, radii)
+        curvature_grid(body)
     except ConvexityError:
+        _, radii, _ = _curvature_core(body, default_rule(dim).nodes)
         worst = float(radii.min())
         if worst > MIN_RADIUS:
             raise BodyConstructionError(
@@ -543,29 +540,28 @@ def _tangential_forms(hess, t1, t2):
     return b11, b12, b22
 
 
-def _check_positive(body, U, h, radii, min_radius=MIN_RADIUS, note=""):
-    # the one positivity test: every principal radius above min_radius,
-    # then every support value above 0, each written so that NaN fails;
-    # note is appended to the latter
+def _check_positive(body, U, h, radii):
+    # the one positivity test: every principal radius above MIN_RADIUS,
+    # then every support value above 0, each written so that NaN fails
     worst = radii.min()
-    if not worst > min_radius:
+    if not worst > MIN_RADIUS:
         idx = int(np.unravel_index(np.argmin(radii), radii.shape)[0])
         raise ConvexityError(
             "tangential hessian eigenvalue %.6g <= %g at u=%s (body %r)"
-            % (worst, min_radius, U[idx].tolist(), body.label))
+            % (worst, MIN_RADIUS, U[idx].tolist(), body.label))
     if not np.all(h > 0):
         idx = int(np.argmin(h))
         raise ConvexityError(
-            "support function %.6g <= 0 at u=%s (body %r)%s"
-            % (h[idx], U[idx].tolist(), body.label, note))
+            "support function %.6g <= 0 at u=%s (body %r); origin not interior"
+            % (h[idx], U[idx].tolist(), body.label))
 
 
-def _curvature_core(body, U, check):
+def _curvature_core(body, U):
     # curvature_arrays without the boundary points and the duals: (h,
-    # radii, s); radii feed the positivity test, h and s every integral.
-    # check only adds the test, so both values give the same arrays.  In
-    # space the frames, forms, radii and s are explicit arithmetic in the
-    # operation order of np.cross, np.linalg.norm and einsum, so their bits
+    # radii, s), untested; radii feed the positivity test, h and s every
+    # integral.  In space the frames, forms, radii and s are explicit
+    # arithmetic in the operation order of np.cross, np.linalg.norm and
+    # einsum, so their bits
     h = np.asarray(body.support(U), dtype=float)
     hess = np.asarray(body.hessian(U), dtype=float)
     if body.dim == 2:
@@ -598,12 +594,10 @@ def _curvature_core(body, U, check):
         radii = np.empty((len(U), 2))
         np.subtract(mean, disc, out=radii[:, 0])
         np.add(mean, disc, out=radii[:, 1])
-    if check:
-        _check_positive(body, U, h, radii)
     return h, radii, s
 
 
-def curvature_arrays(body, U, check=True):
+def curvature_arrays(body, U):
     """Batch curvature data at unit directions U of shape (L, dim).
 
     Returns:
@@ -612,39 +606,37 @@ def curvature_arrays(body, U, check=True):
         functions s_j (L, dim) with s_0 = 1, and their boundary duals H_j.
 
     Raises:
-        ConvexityError: if check is set and a radius is <= 1e-10.
+        ConvexityError: if a radius is <= 1e-10 or a support value <= 0.
     """
     U = np.asarray(U, dtype=float)
-    h, radii, s = _curvature_core(body, U, check)
-    # duality: H_j * s_{n-1} = s_{n-1-j}; unchecked, s_{n-1} may be 0, and
-    # the caller's positivity test, not a numpy warning, reports it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        H = s[:, ::-1] / s[:, -1:]
+    h, radii, s = _curvature_core(body, U)
+    _check_positive(body, U, h, radii)
+    H = s[:, ::-1] / s[:, -1:]  # duality: H_j * s_{n-1} = s_{n-1-j}
     x = np.asarray(body.gradient(U), dtype=float)
     return h, x, radii, s, H
 
 
-def _read_only_grid(h, s):
+def _tested_grid(body, rule):
+    # the read-only grid on the rule's nodes and its radii, once the
+    # positivity test has passed
+    h, radii, s = _curvature_core(body, rule.nodes)
+    _check_positive(body, rule.nodes, h, radii)
     h.setflags(write=False)
     s.setflags(write=False)
-    return CurvatureGrid(h=h, s=s)
+    return CurvatureGrid(h=h, s=s), radii
 
 
 def curvature_grid(body, rule=None):
     """Curvature data of the body at the rule's nodes, read-only.
 
-    Computed once per rule and kept on the body; the rule is a key by
-    identity, so a rule built anew is a new entry.  A passing check_c2plus
-    on the same rule has usually stored it already.
+    Building it is the body's validation (ConvexityError unless every
+    radius is > 1e-10 and every support value > 0).  Computed once per rule
+    and kept on the body, so a second validation is a lookup; the rule is
+    a key by identity, so a rule built anew is a new entry.
     """
     if rule is None:
         rule = default_rule(body.dim)
-
-    def compute():
-        h, _, s = _curvature_core(body, rule.nodes, check=True)
-        return _read_only_grid(h, s)
-
-    return _cached(body, ("grid", rule), compute)
+    return _cached(body, ("grid", rule), lambda: _tested_grid(body, rule)[0])
 
 
 def curvature_at(body, u):
@@ -660,29 +652,22 @@ def curvature_at(body, u):
     norm = np.linalg.norm(u)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("direction must be a unit vector, |u| = %.12g" % norm)
-    h, x, radii, s, H = curvature_arrays(body, (u / norm)[None, :], check=True)
+    h, x, radii, s, H = curvature_arrays(body, (u / norm)[None, :])
     return CurvaturePoint(u=u, x=x[0], h=float(h[0]),
                           radii=tuple(radii[0]), s=tuple(s[0]), H=tuple(H[0]))
 
 
-def check_c2plus(body, rule=None, min_radius=MIN_RADIUS):
+def check_c2plus(body, rule=None):
     """Validate positive curvature and positive support on the rule's nodes.
 
-    Returns the minimal tangential hessian eigenvalue found.  The h and s
-    computed on the way are the curvature grid's, bit for bit, so when
-    every radius also clears MIN_RADIUS (the grid's own test) they are
-    kept as the body's grid for the rule, and the first integral finds it.
-    A failing check keeps nothing, and neither does a min_radius below
-    MIN_RADIUS that passes a radius the grid would refuse.
+    Runs curvature_grid's computation and test and keeps the grid when it
+    passes; returns the minimal tangential hessian eigenvalue found.
     """
     if rule is None:
         rule = default_rule(body.dim)
-    h, radii, s = _curvature_core(body, rule.nodes, check=False)
-    _check_positive(body, rule.nodes, h, radii, min_radius, "; origin not interior")
-    worst = float(radii.min())
-    if worst > MIN_RADIUS:
-        _cached(body, ("grid", rule), lambda: _read_only_grid(h, s))
-    return worst
+    grid, radii = _tested_grid(body, rule)
+    _cached(body, ("grid", rule), lambda: grid)
+    return float(radii.min())
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +714,7 @@ def centroid(body, rule=None):
 # body transforms
 
 
-def recenter(body, c, rule=None):
+def recenter(body, c):
     """Shift so that the point c becomes the origin: h -> h - <c, u>.
 
     Args:
@@ -737,7 +722,7 @@ def recenter(body, c, rule=None):
 
     Raises:
         ValueError: if the shifted support function is not positive on the
-            validation grid (c is not strictly interior).
+            default rule's nodes (c is not strictly interior).
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (body.dim,):
@@ -758,14 +743,13 @@ def recenter(body, c, rule=None):
     out = SupportBody(body.dim, support, gradient, body.hessian,
                       "%s-%s" % (body.label, np.round(c, 12).tolist()),
                       support_radius=body.support_radius and support_radius)
-    if rule is None:
-        rule = default_rule(body.dim)
-    h = out.support(rule.nodes)
+    nodes = default_rule(body.dim).nodes
+    h = out.support(nodes)
     if not np.all(h > 0):
         idx = int(np.argmin(h))
         raise ValueError(
             "point %s is not strictly interior: support becomes %.6g at u=%s"
-            % (c.tolist(), h[idx], rule.nodes[idx].tolist()))
+            % (c.tolist(), h[idx], nodes[idx].tolist()))
     return out
 
 
@@ -845,14 +829,14 @@ def polar_body(body):
 # body specification files
 
 
-def body_from_dict(spec, label=None, validate=True):
+def body_from_dict(spec, label=None):
     """Construct a body from a JSON-style dict.
 
     Recognized keys: dim (2 or 3), type ("ball" | "ellipsoid" |
     "perturbed_ball"), radius, matrix, semi_axes, rotation, mode, epsilon,
     translate, label. Unknown keys other than "provenance" are rejected.
-    With validate set, the body passes check_c2plus on the default rule
-    and so keeps that rule's curvature grid from the start.
+    The body is validated by building its default-rule curvature grid,
+    which it keeps.
     """
     if not isinstance(spec, dict):
         raise ValueError("body spec must be a JSON object")
@@ -894,16 +878,14 @@ def body_from_dict(spec, label=None, validate=True):
         body = recenter(body, -shift)
         if label is not None:
             object.__setattr__(body, "label", label)
-    if validate:
-        check_c2plus(body)
+    curvature_grid(body)
     return body
 
 
-def load_body(path, validate=True):
+def load_body(path):
     """Load a body specification JSON file; the label defaults to the stem.
 
-    A validated body holds its default-rule curvature grid (see
-    body_from_dict), built once by the check.
+    Validated as in body_from_dict, so the body keeps its default-rule grid.
     """
     path = Path(path)
     with open(path) as fh:
@@ -911,7 +893,7 @@ def load_body(path, validate=True):
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError("malformed body file %s: %s" % (path, exc)) from None
-    body = body_from_dict(spec, validate=validate)
+    body = body_from_dict(spec)
     if "label" not in spec:
         object.__setattr__(body, "label", path.stem)
     return body

@@ -203,12 +203,12 @@ class BoundaryDensity:
         """
         U = np.asarray(U, dtype=float)
         if self.body.support_radius is None:
-            h, _, s = _curvature_core(self.body, U, check=True)
+            h, radii, s = _curvature_core(self.body, U)
             s = s.T
         else:
             h, r = (np.asarray(v, dtype=float) for v in self.body.support_radius(U))
-            _check_positive(self.body, U, h, r[:, None])
-            s = (1.0, r)
+            radii, s = r[:, None], (1.0, r)
+        _check_positive(self.body, U, h, radii)
         return _density_values(h, s, self.index, self.p) * s[-1]
 
 

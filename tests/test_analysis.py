@@ -152,6 +152,11 @@ def test_monotonicity_grid_validation(ball2):
         cf.monotonicity_scan(ball2, Z2, (0.5, 0.0, 1.0))
     with pytest.raises(ValueError):
         cf.monotonicity_scan(ball2, Z2, (-3.0, -2.0, 1.0))
+    # a non-finite entry would turn the forms into NaN
+    with pytest.raises(ValueError, match="finite, got inf"):
+        cf.monotonicity_scan(ball2, Z2, (1.0, 2.0, math.inf))
+    with pytest.raises(ValueError, match="finite, got nan"):
+        cf.monotonicity_scan(ball2, Z2, (1.0, 2.0, math.nan))
     # grids are normalized to increasing order rather than rejected
     rep = cf.monotonicity_scan(ball2, Z2, (4.0, 1.0, 2.0))
     assert rep.params["p_grid"] == [1.0, 2.0, 4.0]
@@ -197,6 +202,15 @@ def test_limit_schedule_validation(ball2):
         cf.limit_p_infinity(ball2, Z2, p_schedule=(10.0, 30.0))
     with pytest.raises(ValueError):
         cf.limit_p_infinity(ball2, Z2, p_schedule=(10.0, 10.0, 30.0))
+    with pytest.raises(ValueError, match="finite, got inf"):
+        cf.limit_p_infinity(ball2, Z2, p_schedule=(10.0, 30.0, math.inf))
+    with pytest.raises(ValueError, match="finite, got inf"):
+        cf.limit_p_zero(ball2, Z2, p_schedule=(0.3, 0.1, math.inf))
+    with pytest.raises(ValueError, match="finite, got nan"):
+        cf.limit_p_zero(ball2, Z2, p_schedule=(0.3, 0.1, math.nan))
+    # G(p) divides by p
+    with pytest.raises(ValueError, match="must not contain 0"):
+        cf.limit_p_zero(ball2, Z2, p_schedule=(0.3, 0.1, 0.0))
 
 
 def test_default_suite_grids():

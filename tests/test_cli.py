@@ -235,8 +235,16 @@ def test_divergence_matches_library(corpus_dir, capsys, name, gen, flags, call):
     ("eval", ["--p", "abc"], "invalid float value: 'abc'"),
     ("mc-polytope", ["--p", "nan", "--N", "40,80,160", "--trials", "4", "--seed", "1"],
      "p must be a real number or +inf, got nan"),
+    # a non-finite p list entry: no NaN record, and p = 0: no traceback
+    ("verify", ["monotone", "--p-grid", "1,2,inf"], "p grid entries must be finite, got inf"),
+    ("verify", ["limit-inf", "--p-schedule", "10,30,inf"],
+     "schedule entries must be finite, got inf"),
+    ("verify", ["limit-zero", "--p-schedule", "0.3,0.1,inf"],
+     "schedule entries must be finite, got inf"),
+    ("verify", ["limit-zero", "--p-schedule", "0.3,0.1,0"], "must not contain 0"),
 ], ids=["eval-nan", "eval-neg-inf", "eval-neg-inf-spaced", "eval-neg-infinity-spaced",
-        "eval-abc", "mc-polytope-nan"])
+        "eval-abc", "mc-polytope-nan", "monotone-inf", "limit-inf-inf", "limit-zero-inf",
+        "limit-zero-0"])
 def test_bad_p_exits_2(corpus_dir, capsys, command, flags, message):
     code, out, err = run_cli([command, "--body", str(corpus_dir / "ball2.json")] + flags,
                              capsys)

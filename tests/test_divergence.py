@@ -143,7 +143,8 @@ def test_divergence_bad_input_stores_nothing():
             cf.hellinger(body, wrong, 0.5)
         with pytest.raises(TypeError, match="WeightIndex"):
             cf.hellinger(body, (0, 0.0, (0,)), 0.5)
-    assert body._cache == {}
+    # the body holds only the grid make_perturbed_ball validated it with
+    assert set(body._cache) == {("grid", cf.default_rule(2))}
     # a non-finite alpha is refused on every call and leaves no entry
     cf.hellinger(body, z, 0.5)
     size = len(body._cache)
@@ -176,7 +177,7 @@ def test_non_finite_alpha_refused_up_front(alpha):
         for name, call in calls.items():
             with pytest.raises(ValueError, match="alpha must be finite"):
                 call()
-    assert body._cache == {}
+    assert set(body._cache) == {("grid", cf.default_rule(2))}
 
 
 def test_kl_closed_forms(ball2, ellipse21):

@@ -422,10 +422,17 @@ def _nan_support_body(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_nan_support_fails_the_positivity_test(dim):
     body = _nan_support_body(dim)
-    with pytest.raises(cf.ConvexityError, match="support function nan <= 0"):
-        cf.check_c2plus(body)
-    with pytest.raises(cf.ConvexityError, match="support function nan"):
-        cf.curvature_grid(body)
+    nodes = cf.default_rule(dim).nodes
+    # one test, so one message from every gate
+    messages = []
+    for gate in (cf.check_c2plus, cf.curvature_grid,
+                 lambda b: cf.curvature_arrays(b, nodes)):
+        with pytest.raises(cf.ConvexityError, match="support function nan <= 0") as info:
+            gate(body)
+        messages.append(str(info.value))
+    assert messages == [messages[0]] * 3
+    assert messages[0].endswith("; origin not interior")
+    assert body._cache == {}
     with pytest.raises(ValueError, match="not strictly interior"):
         cf.recenter(body, np.zeros(dim))
 
@@ -573,7 +580,7 @@ def test_curvature_core_matches_einsum_on_default_rule():
         # the radii and s as whole-array expressions of the einsum forms
         mean = 0.5 * (b11 + b22)
         disc = np.sqrt(np.maximum(0.25 * (b11 - b22) ** 2 + b12 * b12, 0.0))
-        _, radii, s = geometry._curvature_core(body, U, check=True)
+        _, radii, s = geometry._curvature_core(body, U)
         assert radii.tobytes() == np.stack([mean - disc, mean + disc], axis=1).tobytes()
         want = np.stack([np.ones_like(mean), mean, b11 * b22 - b12 * b12], axis=1)
         assert s.tobytes() == want.tobytes()
@@ -601,17 +608,13 @@ def test_validated_load_keeps_the_default_grid(tmp_path):
         grid = body._cache[("grid", rule)]
         assert cf.curvature_grid(body) is grid
         assert not grid.h.flags.writeable and not grid.s.flags.writeable
-        # the same bits as the grid of a body that was never checked
-        fresh = cf.curvature_grid(cf.body_from_dict(spec, validate=False))
-        assert grid.h.tobytes() == fresh.h.tobytes()
-        assert grid.s.tobytes() == fresh.s.tobytes()
+        # the bits of curvature_arrays on the rule's nodes
+        h, _, _, s, _ = cf.curvature_arrays(body, rule.nodes)
+        assert grid.h.tobytes() == h.tobytes()
+        assert grid.s.tobytes() == s.tobytes()
 
 
-def test_no_grid_kept_without_a_passing_check(tmp_path):
-    _spec_files(tmp_path)
-    body = cf.load_body(tmp_path / "ellipsoid.json", validate=False)
-    assert body._cache == {}
-
+def test_no_grid_kept_without_a_passing_check():
     def h(U):
         U = np.asarray(U, dtype=float)
         return 1.0 + 0.3 * np.cos(3 * np.arctan2(U[..., 1], U[..., 0]))
@@ -620,16 +623,6 @@ def test_no_grid_kept_without_a_passing_check(tmp_path):
     with pytest.raises(cf.ConvexityError):
         cf.check_c2plus(wavy)
     assert wavy._cache == {}
-    # radii of 5e-11 pass a 1e-12 check but not the grid's own 1e-10 test
-    tiny = cf.make_ball(3, 5e-11)
-    assert cf.check_c2plus(tiny, min_radius=1e-12) == pytest.approx(5e-11)
-    assert tiny._cache == {}
-    with pytest.raises(cf.ConvexityError, match="eigenvalue"):
-        cf.curvature_grid(tiny)
-    # a lower min_radius whose radii all clear 1e-10 keeps the grid
-    ball = cf.make_ball(3)
-    cf.check_c2plus(ball, min_radius=1e-12)
-    assert ("grid", cf.default_rule(3)) in ball._cache
 
 
 def test_check_then_integral_evaluates_the_hessian_once():
@@ -644,3 +637,37 @@ def test_check_then_integral_evaluates_the_hessian_once():
     cf.check_c2plus(body)
     cf.asa(body, 1.0)
     assert calls == [len(cf.default_rule(3).nodes)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_perturbed_ball_keeps_its_validating_grid(dim):
+    body = cf.make_perturbed_ball(dim, mode=3, eps=0.05)
+    rule = cf.default_rule(dim)
+    assert set(body._cache) == {("grid", rule)}
+    grid = body._cache[("grid", rule)]
+    h, _, _, s, _ = cf.curvature_arrays(body, rule.nodes)
+    assert grid.h.tobytes() == h.tobytes()
+    assert grid.s.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("spec, cores", [
+    ({"dim": 2, "type": "perturbed_ball", "mode": 3, "epsilon": 0.05}, 1),
+    ({"dim": 3, "type": "perturbed_ball", "mode": 3, "epsilon": 0.05}, 1),
+    ({"dim": 3, "type": "ellipsoid", "semi_axes": [2.0, 1.0, 1.0]}, 1),
+    # recenter wraps the validated ball, so the shifted body builds its own
+    ({"dim": 2, "type": "perturbed_ball", "mode": 5, "epsilon": 0.02,
+      "translate": [0.1, -0.2]}, 2),
+], ids=["pdisk", "pball3", "ellipsoid", "translated-pdisk"])
+def test_load_then_integral_computes_the_core(tmp_path, monkeypatch, spec, cores):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(spec))
+    calls = []
+    core = geometry._curvature_core
+
+    def counted(body, U):
+        calls.append(len(U))
+        return core(body, U)
+
+    monkeypatch.setattr(geometry, "_curvature_core", counted)
+    cf.asa(cf.load_body(path), 1.0)
+    assert calls == [len(cf.default_rule(spec["dim"]).nodes)] * cores

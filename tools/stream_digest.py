@@ -22,6 +22,9 @@ Each digest is over exact float64 bits (float.hex):
 * ``loaded``: the default-rule grid's ``h`` and ``s`` and ``asa`` (p = 1)
   of the ``corpus-gen`` bodies read back through ``load_body``, whose
   validation may already hold the grid.
+* ``files``: the same for body files that the corpus lacks: a perturbed
+  ball in space, a translated mode-5 perturbed disk, and an ellipsoid in
+  space given by ``semi_axes`` and ``rotation``.
 
 Run it on two checkouts and compare the output:
 
@@ -103,16 +106,36 @@ def _grids(bodies):
     return out
 
 
+_FILES = {
+    "pball3": {"dim": 3, "type": "perturbed_ball", "mode": 3, "epsilon": 0.05},
+    "pdisk5_shifted": {"dim": 2, "type": "perturbed_ball", "mode": 5, "epsilon": 0.02,
+                       "translate": [0.1, -0.2]},
+    "ellipsoid_rotated": {"dim": 3, "type": "ellipsoid", "semi_axes": [3.0, 1.0, 0.5],
+                          "rotation": [[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]]},
+}
+
+
+def _load_record(path):
+    body = cf.load_body(path)
+    grid = cf.curvature_grid(body)
+    return [[v.hex() for v in grid.h.tolist()],
+            [v.hex() for v in grid.s.ravel().tolist()],
+            cf.asa(body, 1.0).value.hex()]
+
+
 def _loaded():
-    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for path in map(Path, cli.corpus_gen(tmp)):
-            body = cf.load_body(path)
-            grid = cf.curvature_grid(body)
-            out[path.stem] = [[v.hex() for v in grid.h.tolist()],
-                              [v.hex() for v in grid.s.ravel().tolist()],
-                              cf.asa(body, 1.0).value.hex()]
-    return out
+        return {path.stem: _load_record(path) for path in map(Path, cli.corpus_gen(tmp))}
+
+
+def _files():
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {}
+        for name, spec in _FILES.items():
+            path = Path(tmp) / (name + ".json")
+            path.write_text(json.dumps(spec))
+            out[name] = _load_record(path)
+        return out
 
 
 def _digest(obj):
@@ -155,6 +178,7 @@ def main():
     print("%-12s %s" % ("scalars", _digest(_scalars(_bodies() + _spatial()))))
     print("%-12s %s" % ("grids", _digest(_grids(_bodies() + _spatial()))))
     print("%-12s %s" % ("loaded", _digest(_loaded())))
+    print("%-12s %s" % ("files", _digest(_files())))
 
 
 if __name__ == "__main__":
