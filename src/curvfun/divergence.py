@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import WeightIndex, mu_density, weighted_asa, _check_index, _power
-from .geometry import _cached, curvature_grid
+from .functionals import (WeightIndex, mu_density, weighted_asa, _check_index, _grid_logs,
+                          _power)
+from .geometry import _cached
 from .quadrature import default_rule, integrate
 
 __all__ = [
@@ -208,11 +209,12 @@ def cone_densities(body, index, rule=None):
 
 def _densities(body, index, rule):
     # cone_densities for an index the caller has checked
-    g = curvature_grid(body, rule)
+    # the powers of h as _power forms them, from the log kept with the grid
+    g, (log_h, _) = _grid_logs(body, rule)
     n = body.dim
     q = g.h
-    p = 1.0 / (g.s_top * _power(g.h, float(n)))
-    ratio = 1.0 / (g.s_top * _power(g.h, float(n + 1)))
+    p = 1.0 / (g.s_top * np.exp(float(n) * log_h))
+    ratio = 1.0 / (g.s_top * np.exp(float(n + 1) * log_h))
     mu = mu_density(body, index, rule)
     return ConeDensityPair(p=p, q=q, mu=mu, ratio=ratio,
                            body_label=body.label, index=index,

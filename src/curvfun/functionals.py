@@ -129,12 +129,20 @@ def _validate_p(dim, p):
 def asa_exponents(dim, p):
     """The exponent pair (alpha, beta) = (p/(n+p), n(p-1)/(n+p)).
 
-    The symbolic p=inf takes the limiting values (1, n).
+    The symbolic p=inf takes the limiting values (1, n).  Where n(p-1)
+    overflows (|p| above about 1.8e308 / n), beta is n * ((p-1)/(n+p)).
     """
     p = _validate_p(dim, p)
     if p == math.inf:
         return 1.0, float(dim)
-    return p / (dim + p), dim * (p - 1.0) / (dim + p)
+    return p / (dim + p), _ratio(dim, p - 1.0, dim + p)
+
+
+def _ratio(n, a, b):
+    # n * a / b, divided first only where n * a overflows (|p| near 1e308),
+    # so every finite value keeps its bits
+    out = n * a / b
+    return out if math.isfinite(out) else n * (a / b)
 
 
 def _check_index(body, index):
@@ -153,14 +161,44 @@ def _power(base, expo):
     return np.exp(expo * np.log(base))
 
 
-def _weight_factor(s, h, index):
-    """c_n * prod_j s_{n-1-j}^(i_j) * h^(m-k) with the s_top part excluded."""
+def _grid_logs(body, rule):
+    """The rule's curvature grid and (log h, log s_{n-1}), both kept on the body.
+
+    These are the np.log calls _power makes on the grid, taken once: a
+    power of either column is np.exp(e * log) with the same bits.
+    """
+    g = curvature_grid(body, rule)
+
+    def compute():
+        logs = np.log(g.h), np.log(g.s_top)
+        for a in logs:
+            a.setflags(write=False)
+        return logs
+
+    return g, _cached(body, ("logs", rule), compute)
+
+
+def _integrand(body, index, rule, e_top, e_h=0.0):
+    """c_n * h^(m-k) * prod_j s_{n-1-j}^(i_j) * s_{n-1}^e_top * h^e_h per node.
+
+    The factors are multiplied in that order, each power np.exp(e * log) as
+    in _power, so the bits are those of a chain of _power calls.  A factor
+    that is exactly 1 is skipped: exponent 0, as in _power, and every power
+    of s_0, a column of exact ones.  The middle column s_1 of a 3-D grid is
+    read only for i_1 > 0, so its log is taken per call and not kept.
+    """
+    g, (log_h, log_top) = _grid_logs(body, rule)
     n = index.dim
-    out = float(index.c_n) * _power(h, index.m - index.k)
-    for j, v in enumerate(index.i, start=1):
-        if v:
-            out = out * _power(s[:, n - 1 - j], float(v))
-    return out
+    # (log of the base, exponent) in the chain's order; i_{n-1} powers s_0
+    factors = [(log_h, index.m - index.k)]
+    factors += [(np.log(g.s[:, n - 1 - j]), float(v))
+                for j, v in enumerate(index.i[:n - 2], start=1) if v]
+    factors += [(log_top, e_top), (log_h, e_h)]
+    out = float(index.c_n)
+    for log, e in factors:
+        if e != 0.0:
+            out = out * np.exp(e * log)
+    return out if isinstance(out, np.ndarray) else np.full_like(g.h, out)
 
 
 def weighted_asa(body, index, p, rule=None):
@@ -176,6 +214,10 @@ def weighted_asa(body, index, p, rule=None):
         FunctionalValue whose .value is the integral.  The body keeps the
         first call's record, and a repeat with the same index object (and
         the same sign of a zero p) returns that record itself.
+
+    The integrand is _integrand's chain with e_top = 1 - alpha - sum_i and
+    e_h = -beta, read from the logs kept with the grid, so a miss takes no
+    log of h or s_{n-1}.
     """
     _check_index(body, index)
     p = _validate_p(body.dim, p)
@@ -184,10 +226,7 @@ def weighted_asa(body, index, p, rule=None):
 
     def compute():
         alpha, beta = asa_exponents(body.dim, p)
-        g = curvature_grid(body, rule)
-        vals = (_weight_factor(g.s, g.h, index)
-                * _power(g.s_top, 1.0 - alpha - index.sum_i)
-                * _power(g.h, -beta))
+        vals = _integrand(body, index, rule, 1.0 - alpha - index.sum_i, -beta)
         return FunctionalValue(integrate(rule, vals), p, index, body.label, rule.name)
 
     record = _cached(body, ("omega", index, p, rule), compute)
@@ -225,7 +264,7 @@ def homogeneity_degree(dim, p, k):
     p = _validate_p(dim, p)
     if p == math.inf:
         return -float(dim) - k
-    return dim * (dim - p) / (dim + p) - k
+    return _ratio(dim, dim - p, dim + p) - k
 
 
 def lutwak_density(body, p, u):
@@ -246,9 +285,10 @@ def mu_density(body, index, rule=None):
 
     This is c_n * h^(m-k) * prod_j H_j^(i_j) * s_{n-1}: the boundary measure
     mu_i of the weight index, transported to the sphere (the trailing
-    s_{n-1} is the reverse Gauss map Jacobian).
+    s_{n-1} is the reverse Gauss map Jacobian).  The same chain as
+    weighted_asa's integrand, with e_top = 1 - sum_i and no trailing h.
     """
     _check_index(body, index)
-    g = curvature_grid(body, rule)
-    return (_weight_factor(g.s, g.h, index)
-            * _power(g.s_top, 1.0 - index.sum_i))
+    if rule is None:
+        rule = default_rule(body.dim)
+    return _integrand(body, index, rule, 1.0 - index.sum_i)

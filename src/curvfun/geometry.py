@@ -95,6 +95,10 @@ class SupportBody:
                                                 validation: the loaders and
                                                 make_perturbed_ball keep the
                                                 default rule's grid
+        ("logs", rule)                          (log h, log s_{n-1}) of that
+                                                grid, read-only; every
+                                                functional integrand and
+                                                cone density reads them
         ("polar",)                              polar_body
         ("volume", rule)                        body_volume
         ("polar_volume", rule)                  polar_volume
@@ -875,6 +879,9 @@ def body_from_dict(spec, label=None):
 
     if "translate" in spec:
         shift = np.asarray(spec["translate"], dtype=float)
+        # only the shifted body's closures reach the unshifted one, and
+        # they read its oracles, never its cache: drop its validating grid
+        body._cache.clear()
         body = recenter(body, -shift)
         if label is not None:
             object.__setattr__(body, "label", label)

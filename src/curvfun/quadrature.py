@@ -12,7 +12,10 @@ the same bits as ``math.fsum``, so it does not depend on node order and
 repeated integrations of the same data are bit-identical.  The exact sum
 is found by error-free extraction (Rump, Ogita & Oishi, "Accurate
 floating-point summation, part I: faithful rounding", SIAM J. Sci. Comput.
-31(1), 2008): a few vectorized passes, then one rounding.
+31(1), 2008): one vectorized pass and a rounding that is certified to be
+the correct one (part II: "sign, K-fold faithful and rounding to nearest",
+SIAM J. Sci. Comput. 31(2), 2008).  Only a sum too close to a tie for the
+certificate takes further passes.
 """
 
 import math
@@ -185,11 +188,15 @@ def _exact_sum(p):
     the float grid at sigma, and an exact remainder, where sigma is a power
     of two above 2**shift times the largest magnitude.  The rounded parts
     are multiples of one grid step and their total stays below sigma, so
-    they sum exactly in any order (Rump, Ogita & Oishi 2008, Lemma 3.3).
-    The remainders are split again until none is left; fsum then rounds the
-    few exact partial sums once.  Values that are not finite or so large
-    that sigma would overflow go to fsum unchanged, so they raise or
-    propagate exactly as fsum does.
+    they sum exactly in any order (Rump, Ogita & Oishi 2008, part I, Lemma
+    3.3).  After the first pass the sum is that exact part plus a float sum
+    of remainders whose error is bounded (`_certified`); when the bound
+    shows which float the exact sum rounds to, that float is returned
+    (part II's rounding to nearest).  Otherwise, near a tie, the remainders
+    are split again until none is left, and fsum rounds the few exact
+    partial sums once.  Values that are not finite or so large that sigma
+    would overflow go to fsum unchanged, so they raise or propagate exactly
+    as fsum does.
     """
     p = np.asarray(p, dtype=float)
     shift = (p.size + 1).bit_length()  # 2**shift >= n + 2
@@ -203,8 +210,41 @@ def _exact_sum(p):
         if top == 0.0:
             # all-zero input: fsum picks the sign of the zero
             return math.fsum(parts or p.tolist())
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+        e = math.frexp(top)[1] + shift
+        sigma = math.ldexp(1.0, e)
         np.add(p, sigma, out=q)
         q -= sigma
         parts.append(float(q.sum()))
         p = p - q
+        if len(parts) == 1:
+            res = _certified(parts[0], float(p.sum()), math.ldexp(p.size * p.size, e - 105))
+            if res is not None:
+                return res
+
+
+def _certified(hi, lo, bound):
+    """hi + lo rounded, if that is the rounding of every hi + x, |x - lo| <= bound.
+
+    Here hi is the exact sum of the first pass's parts and lo the float sum
+    of its n remainders, each at most 2**(e-53) for sigma = 2**e; lo is
+    within gamma_(n-1) * n * 2**(e-53) < 2 * n**2 * 2**(e-106) = bound of
+    their exact sum.  With res = hi + lo and its exact error err (TwoSum),
+    the exact total lies within bound of res + err, and res is its rounding
+    when that interval sits strictly inside res's rounding interval: half
+    the gap to each neighbouring float, and the gap toward zero is halved
+    when |res| is a power of two.  The strict test leaves ties to the
+    caller; None also for a zero or non-finite res and a bound too small to
+    be exact, so the sign of zero and overflow are settled there too.
+    """
+    res = hi + lo
+    if res == 0.0 or not math.isfinite(res) or bound < 2.0 ** -1000:
+        return None
+    z = res - hi
+    err = (hi - (res - z)) + (lo - z)
+    half = 0.5 * math.ulp(res)
+    inner = 0.5 * half if abs(math.frexp(res)[0]) == 0.5 else half
+    below, above = (inner, half) if res > 0 else (half, inner)
+    # a half gap is a power of two, so the rounded sums compare as the exact ones
+    if -below < err - bound and err + bound < above:
+        return res
+    return None

@@ -70,6 +70,9 @@ def _density_values(h, s, index, p):
     n = index.dim
     _, beta = asa_exponents(n, p)
     e_top = (2.0 * p + n * (1.0 - p)) / (2.0 * (n + p))
+    if not math.isfinite(e_top):
+        # 2p or n(1 - p) overflowed (|p| near 1e308): the same terms, divided first
+        e_top = (2.0 * (p / (n + p)) + n * ((1.0 - p) / (n + p))) / 2.0
     vals = _power(s[-1], -e_top)
     e_h = (beta + index.k - index.m) * (n - 1.0) / 2.0
     if e_h != 0.0:

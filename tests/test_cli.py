@@ -84,6 +84,21 @@ def test_eval_infinite_p(corpus_dir, capsys):
     assert abs(rec["value"] - math.pi) < 1e-9
 
 
+@pytest.mark.parametrize("p", ["1e308", "-1e308"])
+def test_eval_huge_finite_p(corpus_dir, tmp_path, p):
+    # the p = inf value, and no numpy warning on the way (-W error)
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "curvfun", "eval", "--body",
+         str(corpus_dir / "ball2.json"), "--p=" + p, "--json"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["value"] == 2 * math.pi
+
+
 def test_eval_weighted_index(corpus_dir, capsys):
     code, out, err = run_cli(
         ["eval", "--body", str(corpus_dir / "ball2.json"), "--p", "2",

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,9 @@ def test_homogeneity_degree_values():
     assert cf.homogeneity_degree(2, 1.0, 0.0) == pytest.approx(2.0 / 3.0)
     assert cf.homogeneity_degree(2, 2.0, 0.0) == pytest.approx(0.0)
     assert cf.homogeneity_degree(3, math.inf, 1.0) == pytest.approx(-4.0)
+    # up to where n(n-p) overflows, the degree is that expression's bits
+    for n, p in ((2, 8e307), (2, -8e307), (3, 5e307), (3, 7.5)):
+        assert cf.homogeneity_degree(n, p, 0.0) == n * (n - p) / (n + p)
 
 
 def test_rotation_invariance(ellipse21, ellipsoid211, rng):
@@ -124,6 +128,9 @@ def test_asa_exponents():
     alpha, beta = cf.asa_exponents(3, math.inf)
     assert alpha == 1.0
     assert beta == 3.0
+    # up to where n(p-1) overflows, beta is that expression's bits
+    for n, p in ((2, 8e307), (2, -8e307), (3, 5e307), (3, 7.5)):
+        assert cf.asa_exponents(n, p)[1] == n * (p - 1.0) / (n + p)
 
 
 def test_p_validation(ball2):
@@ -276,3 +283,100 @@ def test_weight_index_constraint_encodes_m(i1, i2):
     if m + 1 != 2 * i2 + i1:  # any wrong m must be rejected
         with pytest.raises(ValueError):
             cf.WeightIndex(m + 1, 0.0, (i1, i2))
+
+
+def _old_power(base, expo):
+    # the power as every integrand formed it from its own log of the grid
+    if expo == 0.0:
+        return np.ones_like(base)
+    return np.exp(expo * np.log(base))
+
+
+def _old_weight_factor(g, index):
+    n = index.dim
+    out = float(index.c_n) * _old_power(g.h, index.m - index.k)
+    for j, v in enumerate(index.i, start=1):
+        if v:
+            out = out * _old_power(g.s[:, n - 1 - j], float(v))
+    return out
+
+
+def _bitwise_indices(dim):
+    # the suite's indices with the k-values of its k-interpolation claims,
+    # the ball-law indices, and one index whose every factor is exactly 1
+    grids = cf.default_suite_grids(dim)
+    ks = {k for triple in grids["kinterp_triples"] for k in triple}
+    out = [cf.WeightIndex(index.m, k, index.i)
+           for index in grids["indices"] for k in sorted(ks | {index.k})]
+    out += BALL_INDICES_2 if dim == 2 else BALL_INDICES_3
+    if dim == 2:
+        out.append(cf.WeightIndex(1, 1.0, (1,)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_integrands_equal_the_power_chain(dim):
+    rule = cf.default_rule(dim)
+    bodies = [cf.make_ellipsoid(dim, cf.ellipsoid_matrix([2.0, 1.0, 0.7][:dim])),
+              cf.make_perturbed_ball(dim, mode=3, eps=0.05)]
+    for body in bodies:
+        g = cf.curvature_grid(body)
+        for index in _bitwise_indices(dim):
+            factor = _old_weight_factor(g, index)
+            for p in (0.0, -0.0, 0.5, 1.0, 2.0, 16.0, math.inf, -1.5):
+                alpha, beta = cf.asa_exponents(dim, p)
+                vals = (factor * _old_power(g.s_top, 1.0 - alpha - index.sum_i)
+                        * _old_power(g.h, -beta))
+                want = math.fsum((vals * rule.weights).tolist())
+                assert cf.weighted_asa(body, index, p).value.hex() == want.hex()
+            mu = factor * _old_power(g.s_top, 1.0 - index.sum_i)
+            assert cf.mu_density(body, index).tobytes() == mu.tobytes()
+            pair = cf.cone_densities(body, index)
+            p_old = 1.0 / (g.s_top * _old_power(g.h, float(dim)))
+            ratio = 1.0 / (g.s_top * _old_power(g.h, float(dim + 1)))
+            assert pair.p.tobytes() == p_old.tobytes()
+            assert pair.ratio.tobytes() == ratio.tobytes()
+            assert pair.mu.tobytes() == mu.tobytes()
+
+
+def test_grid_logs_are_kept_once_per_rule():
+    body = cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 0.7]))
+    rule = cf.default_rule(3)
+    cf.asa(body, 1.0)
+    logs = body._cache[("logs", rule)]
+    log_h, log_top = logs
+    # a second miss, and every other integrand, finds the same arrays
+    cf.asa(body, 2.0)
+    cf.mu_density(body, cf.WeightIndex(1, 0.0, (1, 0)))
+    cf.cone_densities(body, cf.WeightIndex.zero(3))
+    cf.kl_divergence(body, cf.WeightIndex.zero(3), "PQ")
+    assert body._cache[("logs", rule)] is logs
+    assert logs[0] is log_h and logs[1] is log_top
+    assert not log_h.flags.writeable and not log_top.flags.writeable
+    g = cf.curvature_grid(body)
+    assert log_h.tobytes() == np.log(g.h).tobytes()
+    assert log_top.tobytes() == np.log(g.s_top).tobytes()
+    # another rule is another entry; the middle column's log is not kept
+    other = cf.sphere_rule(16, 32)
+    cf.asa(body, 1.0, other)
+    assert {key for key in body._cache if key[0] == "logs"} == {("logs", rule), ("logs", other)}
+
+
+@pytest.mark.parametrize("p", [1e308, -1e308, 9e307, -9e307, 1.7976931348623157e308])
+def test_huge_finite_p_is_the_infinite_limit(p):
+    # n * (p - 1) overflows for |p| above about 1.8e308 / n; the exponents are
+    # then taken with the division first and equal the p = inf values
+    bodies = [cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 1.0])),
+              cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 0.7]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for body in bodies:
+            n = body.dim
+            assert cf.asa_exponents(n, p) == cf.asa_exponents(n, math.inf)
+            assert cf.homogeneity_degree(n, p, 0.5) == cf.homogeneity_degree(n, math.inf, 0.5)
+            index = cf.default_suite_grids(n)["indices"][1]
+            assert (cf.weighted_asa(body, index, p).value
+                    == cf.weighted_asa(body, index, math.inf).value)
+            density = cf.boundary_density(body, p=p)
+            assert math.isfinite(density.normalizer)
+            assert np.all(np.isfinite(density.values))

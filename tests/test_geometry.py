@@ -473,10 +473,12 @@ def test_curvature_cache_dies_with_body():
     cf.body_volume(body)
     cf.polar_volume(body)
     grid = weakref.ref(cf.curvature_grid(body))
-    assert grid() is not None
+    logs = [weakref.ref(a) for a in body._cache[("logs", cf.default_rule(3))]]
+    assert grid() is not None and all(ref() is not None for ref in logs)
     del body
     gc.collect()
     assert grid() is None
+    assert all(ref() is None for ref in logs)
 
 
 def _fresh_ellipsoid(dim):
@@ -671,3 +673,18 @@ def test_load_then_integral_computes_the_core(tmp_path, monkeypatch, spec, cores
     monkeypatch.setattr(geometry, "_curvature_core", counted)
     cf.asa(cf.load_body(path), 1.0)
     assert calls == [len(cf.default_rule(spec["dim"]).nodes)] * cores
+
+
+@pytest.mark.parametrize("spec", [
+    {"dim": 3, "type": "perturbed_ball", "epsilon": 0.05, "translate": [0.1, 0, 0]},
+    {"dim": 2, "type": "perturbed_ball", "mode": 5, "epsilon": 0.02, "translate": [0.1, -0.2]},
+], ids=["pball3", "pdisk5"])
+def test_translated_body_keeps_only_its_own_grid(spec):
+    body = cf.body_from_dict(spec)
+    rule = cf.default_rule(spec["dim"])
+    inner = [cell.cell_contents for cell in body.support.__closure__
+             if isinstance(cell.cell_contents, cf.SupportBody)]
+    assert len(inner) == 1 and inner[0] is not body
+    # the unshifted ball validated itself, but only the shifted grid is read
+    assert inner[0]._cache == {}
+    assert set(body._cache) == {("grid", rule)}

@@ -203,3 +203,31 @@ def test_integrate_overflow_matches_fsum(values):
     with np.errstate(over="ignore"):
         expected = _bits(_fsum, values * big.weights)
         assert _bits(lambda v: cf.integrate(big, v), values) == expected
+
+
+@pytest.mark.parametrize("n", [3, 8, 513, 8192])
+@pytest.mark.parametrize("scale", [-960, -300, -60, 0, 70, 1000])
+def test_exact_sum_near_ties_match_fsum(n, scale):
+    # 1 + 2**-53 is the midpoint between 1 and the next float up, and
+    # 2 - 2**-53 the one between 2 and the next float down; a tail k *
+    # 2**-110 that one extraction pass cannot see decides the rounding.
+    # Cancelling pairs change n and the remainders, never the exact sum.
+    rng = np.random.default_rng([n, scale + 1000])
+    for base in ([1.0, 2.0**-53], [2.0, -2.0**-53]):
+        for k in (-3, -1, 0, 1, 3):
+            pad = rng.uniform(-0.5, 0.5, (n - 3) // 2)
+            a = np.concatenate([base, [k * 2.0**-110], pad, -pad])
+            a = np.ldexp(a[rng.permutation(len(a))], scale)
+            for signed in (a, -a):
+                assert _bits(_exact_sum, signed) == _bits(_fsum, signed)
+
+
+@pytest.mark.parametrize("scale", [-900, 0, 900])
+def test_exact_sum_bound_covers_the_float_sum_of_remainders(scale):
+    # after one pass the remainders are 2**-53 - 2**-106 and four 7 * 2**-110:
+    # each float addition rounds back to the first, but their exact sum is
+    # 2**-53 + 0.75 * 2**-106, past the midpoint of 1 and its successor
+    a = np.ldexp(np.array([1.0, 2.0**-53 - 2.0**-106] + [7 * 2.0**-110] * 4), scale)
+    for sign in (1.0, -1.0):
+        assert _exact_sum(sign * a) == sign * math.ldexp(1.0 + 2.0**-52, scale)
+        assert _bits(_exact_sum, sign * a) == _bits(_fsum, sign * a)

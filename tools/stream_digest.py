@@ -25,6 +25,15 @@ Each digest is over exact float64 bits (float.hex):
 * ``files``: the same for body files that the corpus lacks: a perturbed
   ball in space, a translated mode-5 perturbed disk, and an ellipsoid in
   space given by ``semi_axes`` and ``rotation``.
+* ``sums``: the correctly rounded sum (``quadrature._exact_sum``) of
+  seeded arrays of 1 to 8192 values: normal draws at many scales, values
+  over the whole exponent range, cancelling pairs, and near-tie sums
+  1 + 2**-53 + k * 2**-110 and 2 - 2**-53 + k * 2**-110 hidden among
+  cancelling pairs, at several scales and both signs.
+* ``omega``: ``weighted_asa`` of the ``corpus-gen`` bodies over the
+  verification suite's indices, with the k-values of its k-interpolation
+  claims, times every p of its grids and schedules, and p = 0, -0.0 and
+  inf.
 
 Run it on two checkouts and compare the output:
 
@@ -42,6 +51,7 @@ import numpy as np
 
 import curvfun as cf
 from curvfun import cli
+from curvfun.quadrature import _exact_sum
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,6 +148,43 @@ def _files():
         return out
 
 
+def _sum_inputs():
+    rng = np.random.default_rng(2026)
+    for n in (1, 2, 3, 7, 64, 511, 512, 4096, 8192):
+        yield rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300)
+        yield np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 1000, n))
+        half = rng.uniform(0.0, 1.0, n // 2)
+        yield np.concatenate([half, -half[::-1], rng.uniform(0.0, 1e-20, n % 2)])
+        for base in ([1.0, 2.0**-53], [2.0, -2.0**-53]):
+            for k in (-3, -1, 0, 1, 3):
+                pad = rng.uniform(-0.5, 0.5, max(n - 3, 0) // 2)
+                a = np.concatenate([base, [k * 2.0**-110], pad, -pad])
+                a = np.ldexp(a[rng.permutation(len(a))], int(rng.integers(-960, 1000)))
+                yield a
+                yield -a
+
+
+def _sums():
+    return [_exact_sum(a).hex() for a in _sum_inputs()]
+
+
+def _omega():
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        bodies = [cf.load_body(path) for path in cli.corpus_gen(tmp)]
+    for body in bodies:
+        grids = cf.default_suite_grids(body.dim)
+        ks = sorted({k for triple in grids["kinterp_triples"] for k in triple})
+        ps = sorted(set(grids["monotone_grid"] + grids["limit_inf_schedule"]
+                        + grids["limit_zero_schedule"] + grids["kinterp_p"]))
+        for index in grids["indices"]:
+            for k in [index.k] + ks:
+                for p in ps + [0.0, -0.0, math.inf]:
+                    value = cf.weighted_asa(body, cf.WeightIndex(index.m, k, index.i), p).value
+                    out["%s|%d|%r|%r|%r" % (body.label, index.m, index.i, k, p)] = value.hex()
+    return out
+
+
 def _digest(obj):
     text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -179,6 +226,8 @@ def main():
     print("%-12s %s" % ("grids", _digest(_grids(_bodies() + _spatial()))))
     print("%-12s %s" % ("loaded", _digest(_loaded())))
     print("%-12s %s" % ("files", _digest(_files())))
+    print("%-12s %s" % ("sums", _digest(_sums())))
+    print("%-12s %s" % ("omega", _digest(_omega())))
 
 
 if __name__ == "__main__":
