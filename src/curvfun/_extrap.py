@@ -2,7 +2,27 @@
 
 import math
 
-__all__ = ["neville_to_zero", "neville_weights"]
+__all__ = ["check_steps", "neville_to_zero", "neville_weights"]
+
+
+def check_steps(values, minimum, name, cast=float):
+    """The schedule rule: at least `minimum` finite, pairwise distinct entries.
+
+    Every p grid, p schedule, N schedule and Neville step list passes it.
+    Entries are read as floats, then cast (int for sample sizes) before the
+    repeat test; the cast entries are returned in the given order, and a
+    ValueError names the list by `name`.
+    """
+    vals = [float(v) for v in values]
+    if len(vals) < minimum:
+        raise ValueError("%s needs at least %d entries, got %d" % (name, minimum, len(vals)))
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError("%s entries must be finite, got %r" % (name, v))
+    vals = [cast(v) for v in vals]
+    if len(set(vals)) != len(vals):
+        raise ValueError("%s entries must be distinct" % name)
+    return vals
 
 
 def neville_to_zero(xs, ys):
@@ -15,15 +35,11 @@ def neville_to_zero(xs, ys):
     Returns:
         The degree-(len(xs)-1) interpolant evaluated at 0.
     """
-    xs = [float(v) for v in xs]
     t = [float(v) for v in ys]
-    k = len(xs)
-    if k != len(t):
+    if len(xs) != len(t):
         raise ValueError("xs and ys must have equal length")
-    if k < 2:
-        raise ValueError("need at least two estimates to extrapolate")
-    if len(set(xs)) != k:
-        raise ValueError("step parameters must be pairwise distinct")
+    xs = check_steps(xs, 2, "step list")
+    k = len(xs)
     for level in range(1, k):
         for i in range(k - level):
             x0, x1 = xs[i], xs[i + level]

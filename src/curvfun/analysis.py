@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from ._extrap import neville_to_zero
+from ._extrap import check_steps, neville_to_zero
 from .divergence import kl_divergence
 from .functionals import WeightIndex, _ZERO_INDEX, weighted_asa, _validate_p
 from .geometry import _cached, curvature_grid, polar_body
@@ -107,17 +107,15 @@ def petty_ratio_stats(body, rule=None):
     the ratio is exactly constant).
     """
     g = curvature_grid(body, rule)
-    ratio = 1.0 / (g.s_top * g.h ** float(body.dim + 1))
-    vmin, vmax = float(ratio.min()), float(ratio.max())
-    spread = (vmax - vmin) / ((vmax + vmin) / 2.0)
+    vmin, vmax, spread = _spread(1.0 / (g.s_top * g.h ** float(body.dim + 1)))
     return PettyStats(vmin=vmin, vmax=vmax, spread=spread,
                       is_ellipsoid=spread < EQUALITY_TOL)
 
 
-def _h_spread(body, rule):
-    g = curvature_grid(body, rule)
-    hmin, hmax = float(g.h.min()), float(g.h.max())
-    return (hmax - hmin) / ((hmax + hmin) / 2.0)
+def _spread(values):
+    # min, max and the spread (max - min) over the mean of the two
+    vmin, vmax = float(values.min()), float(values.max())
+    return vmin, vmax, (vmax - vmin) / ((vmax + vmin) / 2.0)
 
 
 def equality_class(body, rule=None):
@@ -129,7 +127,7 @@ def equality_class(body, rule=None):
         rule = default_rule(body.dim)
 
     def compute():
-        if _h_spread(body, rule) < EQUALITY_TOL:
+        if _spread(curvature_grid(body, rule).h)[2] < EQUALITY_TOL:
             return "ball"
         if petty_ratio_stats(body, rule).is_ellipsoid:
             return "ellipsoid"
@@ -163,6 +161,28 @@ def _omega(body, index, p, rule):
     return weighted_asa(body, index, p, rule).value
 
 
+def _quotient(a, b, c, d):
+    # a*b / (c*d), divided first only where a product overflows (exponents
+    # above about 1e154), so every finite case keeps its bits
+    num, den = a * b, c * d
+    if math.isfinite(num) and math.isfinite(den):
+        return num / den
+    return (a / c) * (b / d)
+
+
+def _holder_gate(claim, body, rule, params, r, s, t):
+    """Both Hoelder claims' gate (n+r)(t-s) / ((n+t)(r-s)) > 1: the hypothesis
+    (None for r = s) and the "hypothesis_violated" report where it fails."""
+    n = body.dim
+    for p in (r, s, t):
+        _validate_p(n, p)
+    hyp = None if (n + t) * (r - s) == 0 else _quotient(n + r, t - s, n + t, r - s)
+    if hyp is not None and hyp > 1.0:
+        return hyp, None
+    return hyp, _report(claim, body, rule, params, verdict="hypothesis_violated",
+                        extra={"hypothesis": hyp})
+
+
 def verify_holder_three(body, index, r, s, t, rule=None):
     """Three-exponent comparison: omega^r against a product of omega^t, omega^s.
 
@@ -175,16 +195,12 @@ def verify_holder_three(body, index, r, s, t, rule=None):
     exactly on centered ellipsoids.
     """
     n = body.dim
-    for p in (r, s, t):
-        _validate_p(n, p)
     params = {"r": r, "s": s, "t": t, "m": index.m, "k": index.k, "i": list(index.i)}
-    denom = (n + t) * (r - s)
-    hyp = math.inf if denom == 0 else (n + r) * (t - s) / denom
-    if not hyp > 1.0 or denom == 0:
-        return _report("holder3", body, rule, params, verdict="hypothesis_violated",
-                       extra={"hypothesis": None if denom == 0 else hyp})
-    theta_t = (r - s) * (n + t) / ((t - s) * (n + r))
-    theta_s = (t - r) * (n + s) / ((t - s) * (n + r))
+    hyp, refused = _holder_gate("holder3", body, rule, params, r, s, t)
+    if refused:
+        return refused
+    theta_t = _quotient(r - s, n + t, t - s, n + r)
+    theta_s = _quotient(t - r, n + s, t - s, n + r)
     lhs = _omega(body, index, r, rule)
     om_t = _omega(body, index, t, rule)
     om_s = _omega(body, index, s, rule)
@@ -205,16 +221,12 @@ def verify_holder_volume(body, index, r, t, rule=None):
     degenerates to equality exactly on centered ellipsoids.
     """
     n = body.dim
-    for p in (r, t):
-        _validate_p(n, p)
     params = {"r": r, "t": t, "m": index.m, "k": index.k, "i": list(index.i)}
-    denom = (n + t) * r
-    hyp = math.inf if denom == 0 else (n + r) * t / denom
-    if not hyp > 1.0 or denom == 0:
-        return _report("holdervol", body, rule, params, verdict="hypothesis_violated",
-                       extra={"hypothesis": None if denom == 0 else hyp})
-    e1 = n * (t - r) / (t * (n + r))
-    e2 = r * (n + t) / (t * (n + r))
+    hyp, refused = _holder_gate("holdervol", body, rule, params, r, 0.0, t)
+    if refused:
+        return refused
+    e1 = _quotient(n, t - r, t, n + r)
+    e2 = _quotient(r, n + t, t, n + r)
     muvol = _omega(body, index, 0.0, rule) / n
     lhs = _omega(body, index, r, rule) / muvol
     om_t = _omega(body, index, t, rule)
@@ -252,23 +264,12 @@ def verify_petty(body, rule=None):
                    extra={"spread": stats.spread})
 
 
-def _check_p_grid(n, p_grid, exclude_zero):
-    grid = sorted(float(p) for p in p_grid)
-    if len(grid) < 2:
-        raise ValueError("p grid needs at least 2 entries, got %d" % len(grid))
-    if len(set(grid)) != len(grid):
-        raise ValueError("p grid entries must be distinct")
-    for p in grid:
-        if not math.isfinite(p):
-            raise ValueError("p grid entries must be finite, got %r" % p)
-        _validate_p(n, p)
-        if exclude_zero and p == 0.0:
-            raise ValueError("p grid must not contain 0")
-    below = [p for p in grid if p < -n]
-    above = [p for p in grid if p > -n]
-    if below and above:
-        raise ValueError("p grid must not cross -n = %d" % (-n))
-    return grid
+def _log_ratios(body, index, rule, refs, ps):
+    """Per reference p, (log omega^ref, [log(omega^p / omega^ref) for p in ps]);
+    each omega is looked up once, the references first."""
+    log_refs = [math.log(_omega(body, index, ref, rule)) for ref in refs]
+    logs = [math.log(_omega(body, index, p, rule)) for p in ps]
+    return [(log_ref, [log - log_ref for log in logs]) for log_ref in log_refs]
 
 
 def monotonicity_scan(body, index, p_grid=_MONOTONE_GRID, rule=None):
@@ -285,49 +286,52 @@ def monotonicity_scan(body, index, p_grid=_MONOTONE_GRID, rule=None):
     than one breaks it), so no verdict is attached to it.
     """
     n = body.dim
-    grid = _check_p_grid(n, p_grid, exclude_zero=True)
-    params = {"p_grid": grid, "m": index.m, "k": index.k, "i": list(index.i)}
-    log_om0 = math.log(_omega(body, index, 0.0, rule))
-    log_ominf = math.log(_omega(body, index, math.inf, rule))
-    form_i, form_ii, form_ii_vol = [], [], []
+    grid = sorted(check_steps(p_grid, 2, "p grid"))
     for p in grid:
-        log_om = math.log(_omega(body, index, p, rule))
-        form_i.append(math.exp((n + p) / p * (log_om - log_om0)))
-        form_ii.append(math.exp((n + p) * (log_om - log_ominf)))
-        form_ii_vol.append(math.exp((n + p) * (log_om - log_om0)))
+        _validate_p(n, p)
+    if 0.0 in grid:
+        raise ValueError("p grid must not contain 0")
+    if grid[0] < -n < grid[-1]:
+        raise ValueError("p grid must not cross -n = %d" % (-n))
+    params = {"p_grid": grid, "m": index.m, "k": index.k, "i": list(index.i)}
+    (_, to_0), (_, to_inf) = _log_ratios(body, index, rule, (0.0, math.inf), grid)
+    form_i = [math.exp((n + p) / p * d) for p, d in zip(grid, to_0)]
+    form_ii = [math.exp((n + p) * d) for p, d in zip(grid, to_inf)]
+    form_ii_vol = [math.exp((n + p) * d) for p, d in zip(grid, to_0)]
     tol = 1e-10
-    margins = []
-    for a, b in zip(form_i, form_i[1:]):
-        margins.append((b - a) / max(abs(a), abs(b)))
-    for a, b in zip(form_ii, form_ii[1:]):
-        margins.append((a - b) / max(abs(a), abs(b)))
+    # form_i must not fall and form_ii must not rise
+    margins = [(b - a) / max(abs(a), abs(b)) for a, b in zip(form_i, form_i[1:])]
+    margins += [(a - b) / max(abs(a), abs(b)) for a, b in zip(form_ii, form_ii[1:])]
     worst = min(margins)
     if worst < -tol:
         verdict = "violated"
     else:
-        const_i = (max(form_i) - min(form_i)) / max(form_i) < 1e-9
-        const_ii = (max(form_ii) - min(form_ii)) / max(form_ii) < 1e-9
-        verdict = "equality" if (const_i and const_ii) else "holds"
+        flat = all((max(f) - min(f)) / max(f) < 1e-9 for f in (form_i, form_ii))
+        verdict = "equality" if flat else "holds"
     return _report("monotone", body, rule, params, slack=worst, verdict=verdict,
                    extra={"form_i": form_i, "form_ii": form_ii,
                           "form_ii_vol": form_ii_vol,
                           "strict_steps": [m > STRICT_TOL for m in margins]})
 
 
-def _check_schedule(sched, minimum=3):
-    sched = [float(v) for v in sched]
-    if len(sched) < minimum:
-        raise ValueError("schedule too short to extrapolate (need >= %d points)" % minimum)
-    if len(set(sched)) != len(sched):
-        raise ValueError("schedule entries must be distinct")
-    for v in sched:
-        if not math.isfinite(v):
-            raise ValueError("schedule entries must be finite, got %r" % v)
-    return sched
+def _limit_report(claim, body, rule, params, xs, logs, log_ref, kl_proof, kl_stated, extra):
+    """A limit claim's read-out: the Neville value at x = 0 of its log sequence,
+    exponentiated, against the derivation-form target exp(-(n/omega^ref) kl_proof)
+    within LIMIT_TOL, with the statement form exp(-(n^2/omega^ref) kl_stated)."""
+    n = body.dim
+    ref = math.exp(log_ref)
+    target = math.exp(-n * kl_proof / ref)
+    extrapolated = math.exp(neville_to_zero(xs, logs))
+    slack = abs(extrapolated - target) / abs(target)
+    return _report(claim, body, rule, params, extrapolated, target, slack,
+                   "holds" if slack <= LIMIT_TOL else "violated",
+                   extra={"estimates": [math.exp(v) for v in logs],
+                          "proof_form_target": target,
+                          "stated_form_target": math.exp(-n * n * kl_stated / ref),
+                          **extra})
 
 
-def limit_p_infinity(body, index, rule=None, p_schedule=_LIMIT_INF_SCHEDULE,
-                     tol=LIMIT_TOL):
+def limit_p_infinity(body, index, rule=None, p_schedule=_LIMIT_INF_SCHEDULE):
     """Entropy limit at p -> inf of (omega^p / omega^inf)^(n+p).
 
     The schedule values are evaluated exactly and Richardson-extrapolated
@@ -339,34 +343,19 @@ def limit_p_infinity(body, index, rule=None, p_schedule=_LIMIT_INF_SCHEDULE,
     constant Petty ratio to the power -n.
     """
     n = body.dim
-    sched = _check_schedule(p_schedule)
+    sched = check_steps(p_schedule, 3, "p schedule")
     params = {"p_schedule": sched, "m": index.m, "k": index.k, "i": list(index.i)}
-    log_ominf = math.log(_omega(body, index, math.inf, rule))
-    xs, logs, estimates = [], [], []
-    for p in sched:
-        log_om = math.log(_omega(body, index, p, rule))
-        xs.append(1.0 / (n + p))
-        logs.append((n + p) * (log_om - log_ominf))
-        estimates.append(math.exp(logs[-1]))
-    extrapolated = math.exp(neville_to_zero(xs, logs))
+    [(log_ominf, to_inf)] = _log_ratios(body, index, rule, (math.inf,), sched)
     kl = kl_divergence(body, index, "PQ", rule)
-    ominf = math.exp(log_ominf)
-    proof_target = math.exp(-n * kl / ominf)
-    stated_target = math.exp(-n * n * kl / ominf)
-    slack = abs(extrapolated - proof_target) / abs(proof_target)
-    verdict = "holds" if slack <= tol else "violated"
-    return _report("limit-inf", body, rule, params, extrapolated, proof_target,
-                   slack, verdict,
-                   extra={"estimates": estimates,
-                          "proof_form_target": proof_target,
-                          "stated_form_target": stated_target,
-                          "kl_pq": kl,
-                          "targets_differ": abs(stated_target - proof_target)
-                                            > 1e-12 * abs(proof_target)})
+    rep = _limit_report("limit-inf", body, rule, params, [1.0 / (n + p) for p in sched],
+                        [(n + p) * d for p, d in zip(sched, to_inf)], log_ominf, kl, kl,
+                        {"kl_pq": kl})
+    proof, stated = rep.rhs, rep.extra["stated_form_target"]
+    rep.extra["targets_differ"] = abs(stated - proof) > 1e-12 * abs(proof)
+    return rep
 
 
-def limit_p_zero(body, index, rule=None, p_schedule=_LIMIT_ZERO_SCHEDULE,
-                 tol=LIMIT_TOL):
+def limit_p_zero(body, index, rule=None, p_schedule=_LIMIT_ZERO_SCHEDULE):
     """Entropy limit at p -> 0+ of the polar body's normalized functional.
 
     Evaluates G(p) = (omega^p(K*) / omega^0(K*))^(n(n+p)/p) on the polar
@@ -377,34 +366,18 @@ def limit_p_zero(body, index, rule=None, p_schedule=_LIMIT_ZERO_SCHEDULE,
     reported alongside.
     """
     n = body.dim
-    sched = _check_schedule(p_schedule)
+    sched = check_steps(p_schedule, 3, "p schedule")
     if 0.0 in sched:
         raise ValueError("p schedule must not contain 0 (G(p) divides by p)")
     params = {"p_schedule": sched, "m": index.m, "k": index.k, "i": list(index.i)}
     pol = polar_body(body)
-    log_om0 = math.log(_omega(pol, index, 0.0, rule))
-    xs, logs, estimates = [], [], []
-    for p in sched:
-        log_om = math.log(_omega(pol, index, p, rule))
-        xs.append(p / (n + p))
-        logs.append(n * (n + p) / p * (log_om - log_om0))
-        estimates.append(math.exp(logs[-1]))
-    extrapolated = math.exp(neville_to_zero(xs, logs))
+    [(log_om0, to_0)] = _log_ratios(pol, index, rule, (0.0,), sched)
     kl_qp = kl_divergence(pol, index, "QP", rule)
     kl_pq = kl_divergence(pol, index, "PQ", rule)
-    om0 = math.exp(log_om0)
-    proof_target = math.exp(-n * kl_qp / om0)
-    stated_target = math.exp(-n * n * kl_pq / om0)
-    slack = abs(extrapolated - proof_target) / abs(proof_target)
-    verdict = "holds" if slack <= tol else "violated"
-    return _report("limit-zero", body, rule, params, extrapolated, proof_target,
-                   slack, verdict,
-                   extra={"estimates": estimates,
-                          "polar_label": pol.label,
-                          "proof_form_target": proof_target,
-                          "stated_form_target": stated_target,
-                          "kl_qp_polar": kl_qp,
-                          "kl_pq_polar": kl_pq})
+    return _limit_report("limit-zero", body, rule, params, [p / (n + p) for p in sched],
+                         [n * (n + p) / p * d for p, d in zip(sched, to_0)], log_om0,
+                         kl_qp, kl_pq, {"polar_label": pol.label, "kl_qp_polar": kl_qp,
+                                        "kl_pq_polar": kl_pq})
 
 
 # ---------------------------------------------------------------------------

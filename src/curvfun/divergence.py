@@ -157,16 +157,15 @@ def linear_generator(a=1.0, b=0.0):
         shape="linear", f_at_0=b, fstar_at_0=a)
 
 
-def check_shape(gen, grid=None):
+def check_shape(gen):
     """Sampled sanity check of the declared shape.
 
-    Not a proof; evaluates f on a logarithmic grid and inspects the signs
-    of the second divided differences (plain second differences would test
-    convexity in log t instead, since the grid is non-uniform).
+    Not a proof; evaluates f on a logarithmic grid of 121 points over
+    [1e-3, 1e3] and inspects the signs of the second divided differences
+    (plain second differences would test convexity in log t instead, since
+    the grid is non-uniform).
     """
-    if grid is None:
-        grid = np.geomspace(1e-3, 1e3, 121)
-    t = np.asarray(grid, dtype=float)
+    t = np.geomspace(1e-3, 1e3, 121)
     vals = np.asarray(gen(t), dtype=float)
     d1 = (vals[1:-1] - vals[:-2]) / (t[1:-1] - t[:-2])
     d2 = (vals[2:] - vals[1:-1]) / (t[2:] - t[1:-1])
@@ -209,16 +208,17 @@ def cone_densities(body, index, rule=None):
 
 def _densities(body, index, rule):
     # cone_densities for an index the caller has checked
-    # the powers of h as _power forms them, from the log kept with the grid
     g, (log_h, _) = _grid_logs(body, rule)
-    n = body.dim
-    q = g.h
-    p = 1.0 / (g.s_top * np.exp(float(n) * log_h))
-    ratio = 1.0 / (g.s_top * np.exp(float(n + 1) * log_h))
-    mu = mu_density(body, index, rule)
-    return ConeDensityPair(p=p, q=q, mu=mu, ratio=ratio,
-                           body_label=body.label, index=index,
-                           rule_name=rule.name)
+    return ConeDensityPair(p=_inv_s_h(g, log_h, body.dim), q=g.h,
+                           mu=mu_density(body, index, rule),
+                           ratio=_inv_s_h(g, log_h, body.dim + 1),
+                           body_label=body.label, index=index, rule_name=rule.name)
+
+
+def _inv_s_h(g, log_h, e):
+    # 1 / (s_{n-1} h^e), the power of h as _power forms it, from the log kept
+    # with the grid: p for e = n, the ratio p/q for e = n + 1
+    return 1.0 / (g.s_top * np.exp(float(e) * log_h))
 
 
 def f_divergence(body, index, gen, rule=None, direction="PQ"):
@@ -286,9 +286,12 @@ def hellinger(body, index, alpha, rule=None):
         rule = default_rule(body.dim)
 
     def compute():
-        pair = _densities(body, index, rule)
-        vals = _power(pair.p, alpha) * _power(pair.q, 1.0 - alpha)
-        return integrate(rule, vals * pair.mu)
+        # p^alpha q^(1-alpha) mu, each power as _power forms it; log q is the kept log h
+        g, (log_h, _) = _grid_logs(body, rule)
+        e = 1.0 - alpha
+        q_part = np.ones_like(log_h) if e == 0.0 else np.exp(e * log_h)
+        vals = _power(_inv_s_h(g, log_h, body.dim), alpha) * q_part
+        return integrate(rule, vals * mu_density(body, index, rule))
 
     return _cached(body, ("hellinger", index, alpha, rule), compute)
 
@@ -320,7 +323,7 @@ class JensenBound:
     shape: str
 
 
-def jensen_bound(body, index, gen, rule=None, tol=1e-10):
+def jensen_bound(body, index, gen, rule=None):
     """Evaluate the Jensen comparison for a generator of declared shape."""
     lhs = f_divergence(body, index, gen, rule)
     om0 = weighted_asa(body, index, 0.0, rule).value
@@ -328,12 +331,13 @@ def jensen_bound(body, index, gen, rule=None, tol=1e-10):
     arg = np.asarray([ominf / om0])
     rhs = float(np.asarray(gen(arg), dtype=float)[0]) * om0
     gap = rhs - lhs
-    scale = max(abs(lhs), abs(rhs), 1.0)
+    # the gap left to rounding: 1e-10 relative to max(|lhs|, |rhs|, 1)
+    tol = 1e-10 * max(abs(lhs), abs(rhs), 1.0)
     if gen.shape == "concave":
-        holds = gap >= -tol * scale
+        holds = gap >= -tol
     elif gen.shape == "convex":
-        holds = gap <= tol * scale
+        holds = gap <= tol
     else:
-        holds = abs(gap) <= tol * scale
+        holds = abs(gap) <= tol
     return JensenBound(lhs=lhs, rhs=rhs, rhs_stated=rhs / body.dim,
                        gap=gap, holds=holds, shape=gen.shape)

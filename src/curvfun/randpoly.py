@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._extrap import neville_to_zero, neville_weights
+from ._extrap import check_steps, neville_to_zero, neville_weights
 from .functionals import (WeightIndex, _ZERO_INDEX, _check_index, _power, _validate_p,
                           asa_exponents, weighted_asa)
 from .geometry import _cached, _check_positive, _curvature_core, body_volume, curvature_grid
@@ -571,8 +571,7 @@ class MCInterpretation:
 
 
 def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
-                         trials=512, seed=0, rule=None, safety=1.5,
-                         allow_dim3=False):
+                         trials=512, seed=0, rule=None, allow_dim3=False):
     """Estimate the deficit limit and compare with c_n Z^(2/(n-1)) omega^p.
 
     Scaled means N^(2/(n-1)) E[deficit] are extrapolated to N = inf with a
@@ -589,14 +588,10 @@ def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
     """
     if body.dim == 3 and not allow_dim3:
         raise ValueError("dim-3 Monte Carlo is expensive; pass allow_dim3=True")
-    sched = tuple(int(v) for v in n_schedule)
-    if len(sched) < 3:
-        raise ValueError("n_schedule needs at least 3 sizes to extrapolate")
-    if len(set(sched)) != len(sched):
-        raise ValueError("n_schedule sizes must be distinct")
+    sched = tuple(check_steps(n_schedule, 3, "N schedule", int))
     if min(sched) < body.dim + 1:
         raise ValueError("hulls need at least dim+1 points")
-    density = boundary_density(body, index=index, p=p, rule=rule, safety=safety)
+    density = boundary_density(body, index=index, p=p, rule=rule)
     estimates = tuple(
         expected_deficit(density, nn, trials=trials, seed=(int(seed), nn))
         for nn in sched)

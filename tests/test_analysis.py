@@ -81,6 +81,34 @@ def test_holder_volume_hypothesis_guard(ellipse21):
     assert rep.verdict == "hypothesis_violated"
 
 
+def test_holder_exponents_past_product_overflow(ellipse21):
+    # above about 1e154 the products of the exponent quotients overflow;
+    # there the quotients divide first, so the hypothesis stays finite and
+    # the weights reach their scale-free limits.  The 1e10-scaled calls
+    # still carry terms of order n / 1e10.
+    for body in (ellipse21, cf.make_perturbed_ball(2, mode=3, eps=0.1)):
+        big = cf.verify_holder_three(body, Z2, 1.5e160, 1e160, 1.7e160)
+        ref = cf.verify_holder_three(body, Z2, 1.5e10, 1e10, 1.7e10)
+        assert math.isfinite(big.extra["hypothesis"])
+        limits = {"hypothesis": 21 / 17, "theta_t": 17 / 21, "theta_s": 4 / 21}
+        for key, want in limits.items():
+            assert big.extra[key] == pytest.approx(want, rel=1e-12)
+            assert big.extra[key] == pytest.approx(ref.extra[key], rel=1e-9)
+        assert big.verdict == ref.verdict == "equality"
+        # a scaled pair drives the volume hypothesis (n+r)t / ((n+t)r) to 1
+        vol = cf.verify_holder_volume(body, Z2, 1e160, 1.7e160)
+        assert math.isfinite(vol.extra["hypothesis"])
+        assert vol.verdict == "hypothesis_violated"
+        # it holds with r = 5 while t (n + r) overflows
+        big = cf.verify_holder_volume(body, Z2, 5.0, 1e308)
+        ref = cf.verify_holder_volume(body, Z2, 5.0, 1e10)
+        limits = {"hypothesis": 7 / 5, "e1": 2 / 7, "e2": 5 / 7}
+        for key, want in limits.items():
+            assert big.extra[key] == pytest.approx(want, rel=1e-12)
+            assert big.extra[key] == pytest.approx(ref.extra[key], rel=1e-9)
+        assert big.verdict == ref.verdict
+
+
 def test_k_interpolation_verdicts(ball2, ellipse21, pball05):
     rep = cf.verify_k_interpolation(ball2, 0, (0,), 1.0, 0.0, 1.0, 2.0)
     assert rep.verdict == "equality"
@@ -157,6 +185,8 @@ def test_monotonicity_grid_validation(ball2):
         cf.monotonicity_scan(ball2, Z2, (1.0, 2.0, math.inf))
     with pytest.raises(ValueError, match="finite, got nan"):
         cf.monotonicity_scan(ball2, Z2, (1.0, 2.0, math.nan))
+    with pytest.raises(ValueError, match="finite, got -inf"):
+        cf.monotonicity_scan(ball2, Z2, (-math.inf, 1.0, 2.0))
     # grids are normalized to increasing order rather than rejected
     rep = cf.monotonicity_scan(ball2, Z2, (4.0, 1.0, 2.0))
     assert rep.params["p_grid"] == [1.0, 2.0, 4.0]
@@ -198,12 +228,18 @@ def test_limit_p_zero(ball2, ellipse21, ellipsoid211, pball05):
 
 
 def test_limit_schedule_validation(ball2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 3"):
         cf.limit_p_infinity(ball2, Z2, p_schedule=(10.0, 30.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="distinct"):
         cf.limit_p_infinity(ball2, Z2, p_schedule=(10.0, 10.0, 30.0))
     with pytest.raises(ValueError, match="finite, got inf"):
         cf.limit_p_infinity(ball2, Z2, p_schedule=(10.0, 30.0, math.inf))
+    with pytest.raises(ValueError, match="finite, got nan"):
+        cf.limit_p_infinity(ball2, Z2, p_schedule=(10.0, math.nan, 30.0))
+    with pytest.raises(ValueError, match="at least 3"):
+        cf.limit_p_zero(ball2, Z2, p_schedule=(0.3, 0.1))
+    with pytest.raises(ValueError, match="distinct"):
+        cf.limit_p_zero(ball2, Z2, p_schedule=(0.3, 0.1, 0.1))
     with pytest.raises(ValueError, match="finite, got inf"):
         cf.limit_p_zero(ball2, Z2, p_schedule=(0.3, 0.1, math.inf))
     with pytest.raises(ValueError, match="finite, got nan"):

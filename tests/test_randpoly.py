@@ -11,7 +11,7 @@ from scipy import stats
 
 import curvfun as cf
 from curvfun import randpoly
-from curvfun._extrap import neville_weights
+from curvfun._extrap import neville_to_zero, neville_weights
 
 
 def test_limit_constant_values():
@@ -535,10 +535,24 @@ def test_interpretation_check_dim3_gate(ball3):
 
 
 def test_interpretation_check_schedule_validation(ball2):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 3"):
         cf.interpretation_check(ball2, n_schedule=(100, 200), trials=16, seed=0)
     with pytest.raises(ValueError):
         cf.interpretation_check(ball2, n_schedule=(2, 100, 200), trials=16, seed=0)
+    # sizes are read as integers, so 100.5 repeats 100
+    for sched in ((100, 200, 100), (100, 100.5, 200)):
+        with pytest.raises(ValueError, match="distinct"):
+            cf.interpretation_check(ball2, n_schedule=sched, trials=16, seed=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite, got %r" % bad):
+            cf.interpretation_check(ball2, n_schedule=(100, 200, bad), trials=16, seed=0)
+    # the Neville tableau behind it takes the same rule on its steps
+    with pytest.raises(ValueError, match="at least 2"):
+        neville_to_zero([0.1], [1.0])
+    with pytest.raises(ValueError, match="distinct"):
+        neville_to_zero([0.1, 0.1, 0.2], [1.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="finite, got nan"):
+        neville_to_zero([0.1, math.nan], [1.0, 2.0])
 
 
 @settings(max_examples=30, deadline=None)

@@ -34,13 +34,20 @@ Each digest is over exact float64 bits (float.hex):
   verification suite's indices, with the k-values of its k-interpolation
   claims, times every p of its grids and schedules, and p = 0, -0.0 and
   inf.
+* ``verify``: the records of ``curvfun verify all --json`` on the
+  ``corpus-gen`` corpus (all but the closing summary, which names the
+  corpus directory), then single-claim records on the same bodies: a
+  monotone grid, limit schedules and refused Hoelder exponents that
+  differ from the battery's.
 
 Run it on two checkouts and compare the output:
 
     PYTHONPATH=src python tools/stream_digest.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
@@ -185,6 +192,36 @@ def _omega():
     return out
 
 
+# single claims off the battery's grids: (claim, call on body and zero index)
+_CLAIMS = [
+    ("monotone", lambda body, z: cf.monotonicity_scan(body, z, (0.3, 0.7, 1.5, 3.0, 6.0, 12.0))),
+    ("monotone-neg", lambda body, z: cf.monotonicity_scan(body, z, (-1.5, -1.0, -0.5))),
+    ("limit-inf", lambda body, z: cf.limit_p_infinity(body, z, None, (20.0, 50.0, 200.0, 500.0))),
+    ("limit-zero", lambda body, z: cf.limit_p_zero(body, z, None, (0.2, 0.05, 0.02))),
+    ("holder3-reversed", lambda body, z: cf.verify_holder_three(body, z, 4.0, 0.0, 1.0)),
+    ("holder3-r-eq-s", lambda body, z: cf.verify_holder_three(body, z, 1.0, 1.0, 4.0)),
+    ("holdervol-reversed", lambda body, z: cf.verify_holder_volume(body, z, 2.0, 1.0)),
+    ("holdervol-r0", lambda body, z: cf.verify_holder_volume(body, z, 0.0, 2.0)),
+]
+
+
+def _verify():
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = cli.corpus_gen(tmp)
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            cli.run(["verify", "all", "--corpus", tmp, "--json"])
+        bodies = [cf.load_body(path) for path in paths]
+    out = {"all": text.getvalue().splitlines()[:-1]}
+    for body in bodies:
+        zero = cf.WeightIndex.zero(body.dim)
+        for name, call in _CLAIMS:
+            if name == "limit-zero" and body._polar is None:
+                continue
+            out["%s|%s" % (body.label, name)] = call(body, zero).to_record()
+    return out
+
+
 def _digest(obj):
     text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -228,6 +265,7 @@ def main():
     print("%-12s %s" % ("files", _digest(_files())))
     print("%-12s %s" % ("sums", _digest(_sums())))
     print("%-12s %s" % ("omega", _digest(_omega())))
+    print("%-12s %s" % ("verify", _digest(_verify())))
 
 
 if __name__ == "__main__":
