@@ -23,7 +23,7 @@ import numpy as np
 
 from ._extrap import check_steps, neville_to_zero
 from .divergence import kl_divergence
-from .functionals import WeightIndex, _ZERO_INDEX, weighted_asa, _validate_p
+from .functionals import WeightIndex, _ZERO_INDEX, asa_exponents, weighted_asa, _validate_p
 from .geometry import _cached, curvature_grid, polar_body
 from .quadrature import default_rule
 
@@ -266,7 +266,13 @@ def verify_petty(body, rule=None):
 
 def _log_ratios(body, index, rule, refs, ps):
     """Per reference p, (log omega^ref, [log(omega^p / omega^ref) for p in ps]);
-    each omega is looked up once, the references first."""
+    each omega is looked up once, the references first.  A p whose exponents
+    round to p = inf's (|p| from about 1.8e16 in the plane, 3.6e16 in space) has
+    omega^inf's bits, so it is refused."""
+    top = asa_exponents(body.dim, math.inf)
+    for p in ps:
+        if asa_exponents(body.dim, p) == top:
+            raise ValueError("p = %r cannot be told from p = inf in double precision" % p)
     log_refs = [math.log(_omega(body, index, ref, rule)) for ref in refs]
     logs = [math.log(_omega(body, index, p, rule)) for p in ps]
     return [(log_ref, [log - log_ref for log in logs]) for log_ref in log_refs]

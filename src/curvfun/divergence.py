@@ -18,7 +18,7 @@ affine surface area.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,9 +144,7 @@ def power_generator(alpha):
 
 def sqrt_generator():
     """f(t) = sqrt(t) (concave); its Jensen bound goes the upper way."""
-    gen = power_generator(0.5)
-    return DivergenceGenerator(name="sqrt", fn=gen.fn, shape="concave",
-                               f_at_0=0.0, fstar_at_0=0.0)
+    return replace(power_generator(0.5), name="sqrt")
 
 
 def linear_generator(a=1.0, b=0.0):

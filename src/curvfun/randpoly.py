@@ -369,24 +369,20 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     the direction p / |p|.  Such a direction has sphere density
     proportional to the cell's hat c_k |p|^n (see BoundaryDensity), and it
     is tested against that hat, so no proposal needs a cosine or a sine.
-    The planar stream differs from earlier 0.1.0 builds, which drew
-    angles uniformly under one bound and later uniformly within each arc
-    under a constant height.  The spatial stream differs from builds that
-    drew uniform directions under one bound, and from builds that
-    triangulated the nodes in the rule's own order.  The spatial cells
-    follow qhull's triangulation of the nodes in lexicographic order, so
-    equal seeds give equal samples for a given scipy version, whatever the
-    rule's node order.
+    The spatial cells follow qhull's triangulation of the nodes in
+    lexicographic order, so equal seeds give equal samples for a given
+    scipy version, whatever the rule's node order.
 
     The acceptance rate is known in advance, normalizer over the hat's
     integral over the sphere, so each round draws (need + 4
     sqrt(need)) / rate proposals for the need points still missing, at
     most 65536; one round almost always suffices.  Only the target is
     evaluated on every proposal; the boundary points x(u) are computed for
-    accepted rows alone, one round at a time.  A planar body's fused
-    support_radius oracle, if any, replaces support and the hessian in the
-    target.  The radii agree to rounding (about 1e-14 relative), so only a
-    proposal that close to its threshold could be decided otherwise.
+    accepted rows alone, one round at a time, and the first count of them
+    in draw order are returned.  A planar body's fused support_radius
+    oracle, if any, replaces support and the hessian in the target.  The
+    radii agree to rounding (about 1e-14 relative), so only a proposal
+    that close to its threshold could be decided otherwise.
 
     seed: int, sequence of ints, or an existing numpy Generator.
     """
@@ -394,20 +390,9 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    points, _, stats = _sample(density, count, rng)
-    if return_stats:
-        return points, stats
-    return points
-
-
-def _sample(density, count, rng):
-    # sample_boundary's rejection rounds: the first count accepted points in
-    # draw order, the angles of their normals in 2-D (None in 3-D), and the
-    # stats
     body = density.body
     rate = density.normalizer / density._mass
     chunks = []
-    angles = []
     accepted = 0
     proposals = 0
     cap = 1000 * count + 100_000
@@ -431,16 +416,13 @@ def _sample(density, count, rng):
         proposals += batch
         kept = int(np.count_nonzero(keep))
         if kept:
-            Uk = np.compress(keep, U, axis=0)
-            chunks.append(np.asarray(body.gradient(Uk), dtype=float))
-            if body.dim == 2:
-                angles.append(np.arctan2(Uk[:, 1], Uk[:, 0]))
+            chunks.append(np.asarray(body.gradient(np.compress(keep, U, axis=0)), dtype=float))
             accepted += kept
     points = np.concatenate(chunks, axis=0)[:count]
-    theta = np.concatenate(angles)[:count] if angles else None
-    stats = SampleStats(accepted=accepted, proposals=proposals,
-                        acceptance_rate=accepted / proposals)
-    return points, theta, stats
+    if return_stats:
+        return points, SampleStats(accepted=accepted, proposals=proposals,
+                                   acceptance_rate=accepted / proposals)
+    return points
 
 
 class HullResult(NamedTuple):
@@ -451,23 +433,31 @@ class HullResult(NamedTuple):
 def hull_volume(points):
     """Volume of the convex hull of the given points.
 
-    The planar branch sorts by angle around the centroid and applies the
-    shoelace formula, which is only valid for points in convex position
-    (always true for samples off a convex boundary); the area is the
-    correctly rounded sum of the cross products, so it does not depend on
-    which vertex the cyclic order starts at.  The spatial branch delegates
-    to qhull.  degenerate means the hull has empty interior.
+    The planar branch sorts the points by angle about an interior point,
+    their column sums over N, and applies the shoelace formula, which is
+    only valid for points in convex position (always true for samples off
+    a convex boundary).  The area is the correctly rounded sum of the cross
+    products of consecutive vertices, so it does not depend on the row
+    order of the points or on which vertex the cyclic order starts at.  The
+    spatial branch delegates to qhull.  degenerate means the hull has empty
+    interior.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):
         raise ValueError("points must have shape (N, 2) or (N, 3)")
-    n = pts.shape[1]
-    if pts.shape[0] < n + 1:
+    N, n = pts.shape
+    if N < n + 1:
         return HullResult(0.0, True)
     if n == 2:
-        c = pts.mean(axis=0)
-        ang = np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
-        return _shoelace(np.take(pts, np.argsort(ang), axis=0))
+        xs, ys = pts.T
+        order = np.argsort(np.arctan2(ys - ys.sum() / N, xs - xs.sum() / N))
+        xs, ys = np.take(pts, order, axis=0).T
+        # the cross products of consecutive vertices, the wrap term last
+        cross = np.empty_like(xs)
+        np.subtract(xs[:-1] * ys[1:], xs[1:] * ys[:-1], out=cross[:-1])
+        cross[-1] = xs[-1] * ys[0] - xs[0] * ys[-1]
+        area = 0.5 * abs(_exact_sum(cross))
+        return HullResult(area, area == 0.0)
     # imported here: scipy.spatial is most of the package's import time
     # and only the spatial branch needs it
     from scipy.spatial import ConvexHull, QhullError
@@ -477,18 +467,6 @@ def hull_volume(points):
     except QhullError:
         return HullResult(0.0, True)
     return HullResult(float(hull.volume), False)
-
-
-def _shoelace(pts):
-    # area of the polygon whose vertices are the rows of pts in cyclic order
-    # the cross products of consecutive vertices, the wrap term last: the
-    # sum is correctly rounded, so their order does not matter
-    xs, ys = pts[:, 0], pts[:, 1]
-    cross = np.empty_like(xs)
-    np.subtract(xs[:-1] * ys[1:], xs[1:] * ys[:-1], out=cross[:-1])
-    cross[-1] = xs[-1] * ys[0] - xs[0] * ys[-1]
-    area = 0.5 * abs(_exact_sum(cross))
-    return HullResult(area, area == 0.0)
 
 
 @dataclass(frozen=True)
@@ -510,12 +488,7 @@ def expected_deficit(density, n_points, trials=256, seed=0):
     Each trial runs its own generator seeded with [*seed, trial], so runs
     are reproducible and trials are independent streams.  scaled_mean is
     the mean times n_points^(2/(n-1)), the quantity with a finite limit.
-    A planar trial takes the sampled points in the order of their normal
-    angles, the arctan2 of the accepted directions.  On a strictly convex
-    curve that is their cyclic order along the boundary, the order
-    hull_volume finds about the centroid, so the shoelace needs no second
-    sort and, its sum being correctly rounded, gives hull_volume's area
-    bit for bit.
+    Every trial is hull_volume(sample_boundary(density, n_points, seed=rng)).
     """
     n_points = int(n_points)
     trials = int(trials)
@@ -525,14 +498,9 @@ def expected_deficit(density, n_points, trials=256, seed=0):
     vol = body_volume(density.body, density.rule)
     deficits = []
     degenerate = 0
-    planar = density.body.dim == 2 and n_points >= 3
     for t in range(trials):
         rng = np.random.default_rng([*base, t])
-        if planar:
-            points, theta, _ = _sample(density, n_points, rng)
-            res = _shoelace(np.take(points, np.argsort(theta), axis=0))
-        else:
-            res = hull_volume(sample_boundary(density, n_points, seed=rng))
+        res = hull_volume(sample_boundary(density, n_points, seed=rng))
         degenerate += res.degenerate
         deficits.append(vol - res.volume)
     mean = math.fsum(deficits) / trials

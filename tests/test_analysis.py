@@ -171,7 +171,7 @@ def test_volume_normalized_sequence_is_not_monotone():
     assert np.max(vol_form) / np.min(vol_form) > 10.0
 
 
-def test_monotonicity_grid_validation(ball2):
+def test_monotonicity_grid_validation(ball2, ball3, ellipse21, pball10):
     with pytest.raises(ValueError, match="at least 2"):
         cf.monotonicity_scan(ball2, Z2, (1.0,))
     with pytest.raises(ValueError, match="distinct"):
@@ -187,6 +187,16 @@ def test_monotonicity_grid_validation(ball2):
         cf.monotonicity_scan(ball2, Z2, (1.0, 2.0, math.nan))
     with pytest.raises(ValueError, match="finite, got -inf"):
         cf.monotonicity_scan(ball2, Z2, (-math.inf, 1.0, 2.0))
+    # from |p| of about 1.8e16 in the plane and 3.6e16 in space the
+    # exponents round to p = inf's, so omega^p has omega^inf's bits
+    for body in (ellipse21, pball10):
+        for grid in ((1.0, 1e308), (1.0, 1e17), (1.0, 3e16), (-1e308, -1e17)):
+            with pytest.raises(ValueError, match="cannot be told from p = inf"):
+                cf.monotonicity_scan(body, Z2, grid)
+    with pytest.raises(ValueError, match=r"p = 4e\+16 cannot be told from p = inf"):
+        cf.monotonicity_scan(ball3, Z3, (1.0, 4e16))
+    assert cf.monotonicity_scan(ball2, Z2, (1.0, 1e16)).verdict == "equality"
+    assert cf.monotonicity_scan(ball3, Z3, (1.0, 3e16)).verdict == "equality"
     # grids are normalized to increasing order rather than rejected
     rep = cf.monotonicity_scan(ball2, Z2, (4.0, 1.0, 2.0))
     assert rep.params["p_grid"] == [1.0, 2.0, 4.0]
@@ -227,7 +237,7 @@ def test_limit_p_zero(ball2, ellipse21, ellipsoid211, pball05):
         cf.limit_p_zero(pball05, Z2)
 
 
-def test_limit_schedule_validation(ball2):
+def test_limit_schedule_validation(ball2, ellipse21, pball10):
     with pytest.raises(ValueError, match="at least 3"):
         cf.limit_p_infinity(ball2, Z2, p_schedule=(10.0, 30.0))
     with pytest.raises(ValueError, match="distinct"):
@@ -244,6 +254,11 @@ def test_limit_schedule_validation(ball2):
         cf.limit_p_zero(ball2, Z2, p_schedule=(0.3, 0.1, math.inf))
     with pytest.raises(ValueError, match="finite, got nan"):
         cf.limit_p_zero(ball2, Z2, p_schedule=(0.3, 0.1, math.nan))
+    for body in (ellipse21, pball10):
+        with pytest.raises(ValueError, match=r"p = 1e\+17 cannot be told from p = inf"):
+            cf.limit_p_infinity(body, Z2, p_schedule=(10.0, 30.0, 100.0, 300.0, 1e17))
+    with pytest.raises(ValueError, match="cannot be told from p = inf"):
+        cf.limit_p_zero(ellipse21, Z2, p_schedule=(0.2, 0.05, 1e17))
     # G(p) divides by p
     with pytest.raises(ValueError, match="must not contain 0"):
         cf.limit_p_zero(ball2, Z2, p_schedule=(0.3, 0.1, 0.0))

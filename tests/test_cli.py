@@ -257,14 +257,19 @@ def test_divergence_matches_library(corpus_dir, capsys, name, gen, flags, call):
     ("verify", ["limit-zero", "--p-schedule", "0.3,0.1,inf"],
      "schedule entries must be finite, got inf"),
     ("verify", ["limit-zero", "--p-schedule", "0.3,0.1,0"], "must not contain 0"),
+    # a p whose omega has omega^inf's bits carries no information
+    ("verify", ["monotone", "--p-grid", "1,1e308"], "p = 1e+308 cannot be told from p = inf"),
+    ("verify", ["monotone", "--p-grid", "1,1e17"], "p = 1e+17 cannot be told from p = inf"),
+    ("verify", ["limit-inf", "--p-schedule", "10,30,100,300,1e17"],
+     "p = 1e+17 cannot be told from p = inf"),
 ], ids=["eval-nan", "eval-neg-inf", "eval-neg-inf-spaced", "eval-neg-infinity-spaced",
         "eval-abc", "mc-polytope-nan", "monotone-inf", "limit-inf-inf", "limit-zero-inf",
-        "limit-zero-0"])
+        "limit-zero-0", "monotone-1e308", "monotone-1e17", "limit-inf-1e17"])
 def test_bad_p_exits_2(corpus_dir, capsys, command, flags, message):
     code, out, err = run_cli([command, "--body", str(corpus_dir / "ball2.json")] + flags,
                              capsys)
     assert code == 2
-    assert message in err
+    assert message in err and err.count("\n") == 1
     assert out == ""
 
 

@@ -225,16 +225,23 @@ def test_sample_boundary_sizes_round_from_acceptance(ellipse21):
 
 @pytest.mark.parametrize("fixture", ["ellipse21", "pball10"])
 def test_planar_sampling_law(request, fixture):
-    # the sampled normal angles follow the target density: KS test against
-    # the CDF of target tabulated on a fine grid (trapezoid cumulative sum)
-    density = cf.boundary_density(request.getfixturevalue(fixture), p=1.0)
-    points, theta, info = randpoly._sample(density, 20000, np.random.default_rng(17))
+    # the sampled normal angles follow the target density: KS test of the
+    # points' polar angles against the CDF of target tabulated on a fine
+    # grid of normal angles (trapezoid cumulative sum), carried to polar
+    # angles by the boundary map u -> x(u), which keeps the order
+    body = request.getfixturevalue(fixture)
+    density = cf.boundary_density(body, p=1.0)
+    points, info = cf.sample_boundary(density, 20000, seed=17, return_stats=True)
     assert points.shape == (20000, 2)
     grid = np.linspace(0.0, 2.0 * math.pi, (1 << 16) + 1)
-    f = density.target(np.stack([np.cos(grid), np.sin(grid)], axis=1))
+    U = np.stack([np.cos(grid), np.sin(grid)], axis=1)
+    f = density.target(U)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))])
     cdf /= cdf[-1]
-    res = stats.kstest(np.mod(theta, 2.0 * math.pi), lambda x: np.interp(x, grid, cdf))
+    x = np.asarray(body.gradient(U))
+    phi = np.unwrap(np.arctan2(x[:, 1], x[:, 0]))
+    psi = phi[0] + np.mod(np.arctan2(points[:, 1], points[:, 0]) - phi[0], 2.0 * math.pi)
+    res = stats.kstest(psi, lambda v: np.interp(v, phi, cdf))
     assert res.pvalue > 0.01
     # the arc envelope accepts about 1/safety of the proposals; one global
     # bound accepted 1/3 on the ellipse and 0.43 on the perturbed disk
@@ -292,7 +299,9 @@ def test_chord_hat_on_coarse_rule(ball2):
     # density is constant; the hat's mass is 2 height tan(pi / 4) an arc
     rule = _arc_rule(0.5 * math.pi * np.arange(4))
     density = cf.boundary_density(ball2, p=1.0, rule=rule)
-    _, theta, info = randpoly._sample(density, 20000, np.random.default_rng(21))
+    # on the unit disk a point's polar angle is its normal angle
+    points, info = cf.sample_boundary(density, 20000, seed=21, return_stats=True)
+    theta = np.arctan2(points[:, 1], points[:, 0])
     res = stats.kstest(np.mod(theta, 2.0 * math.pi), stats.uniform(0.0, 2.0 * math.pi).cdf)
     assert res.pvalue > 0.01
     want = (2.0 / 3.0) * (0.5 * math.pi) / (2.0 * math.tan(0.25 * math.pi))
@@ -313,7 +322,7 @@ def test_spatial_sampling_law(ellipsoid211, spec):
     # on them would skew the law
     rule = cf.parse_rule_spec(spec, 3)
     density = cf.boundary_density(ellipsoid211, p=1.0, rule=rule)
-    points, _, _ = randpoly._sample(density, 20000, np.random.default_rng(17))
+    points = cf.sample_boundary(density, 20000, seed=17)
     # x = M u / h(u) on the ellipsoid, so u is M^-1 x normalized
     u = points / np.array([4.0, 1.0, 1.0])
     c = u[:, 0] / np.linalg.norm(u, axis=1)
@@ -419,10 +428,8 @@ def rotated_recentered_ellipse():
     pytest.param("rotated_recentered_ellipse", 1000, id="rotated-recentered-1000"),
 ])
 def test_expected_deficit_matches_public_calls(request, fixture, n):
-    # the estimator draws the public sampler's points on [seed, N, trial]
-    # streams; its angle-sorted shoelace and hull_volume's sort about the
-    # centroid form the same cross products, so a rebuild from the public
-    # calls gives the same bits
+    # the estimator's trials are the public calls on [seed, N, trial]
+    # streams, so a rebuild from them gives the same bits
     density = cf.boundary_density(request.getfixturevalue(fixture), p=1.0)
     seed, trials = 9, 6
     est = cf.expected_deficit(density, n, trials=trials, seed=(seed, n))
@@ -463,6 +470,10 @@ def test_hull_volume_2d_matches_fsum_shoelace(n):
     cross = xs * np.roll(ys, -1) - np.roll(xs, -1) * ys
     expected = 0.5 * abs(math.fsum(cross.tolist()))
     assert cf.hull_volume(pts).volume.hex() == expected.hex()
+    # the interior point and the vertex the cyclic order starts at move
+    # with the row order; the correctly rounded area does not
+    for other in (pts[rng.permutation(n)], np.roll(pts, n // 3 + 1, axis=0)):
+        assert cf.hull_volume(other).volume.hex() == expected.hex()
 
 
 def test_hull_volume_3d():

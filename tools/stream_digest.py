@@ -39,6 +39,10 @@ Each digest is over exact float64 bits (float.hex):
   corpus directory), then single-claim records on the same bodies: a
   monotone grid, limit schedules and refused Hoelder exponents that
   differ from the battery's.
+* ``samples``: the ``sample_boundary`` points and ``SampleStats`` (p = 1,
+  fixed seeds, 2000 points in the plane and 500 in space) on the 2-D and
+  3-D bodies above, then ``expected_deficit`` means on the disk at N = 2,
+  3 and 4, where hulls turn from degenerate to proper.
 
 Run it on two checkouts and compare the output:
 
@@ -222,6 +226,20 @@ def _verify():
     return out
 
 
+def _samples(bodies):
+    out = {}
+    for seed, body in enumerate(bodies):
+        density = cf.boundary_density(body, p=1.0)
+        points, stats = cf.sample_boundary(density, 2000 if body.dim == 2 else 500,
+                                           seed=seed, return_stats=True)
+        out[body.label] = [[v.hex() for v in points.ravel().tolist()],
+                           [stats.accepted, stats.proposals, stats.acceptance_rate.hex()]]
+    disk = cf.boundary_density(bodies[0], p=1.0)
+    for n in (2, 3, 4):
+        out["deficit|%d" % n] = cf.expected_deficit(disk, n, trials=16, seed=n).mean.hex()
+    return out
+
+
 def _digest(obj):
     text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -266,6 +284,7 @@ def main():
     print("%-12s %s" % ("sums", _digest(_sums())))
     print("%-12s %s" % ("omega", _digest(_omega())))
     print("%-12s %s" % ("verify", _digest(_verify())))
+    print("%-12s %s" % ("samples", _digest(_samples(_bodies() + _spatial()))))
 
 
 if __name__ == "__main__":
