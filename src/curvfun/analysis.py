@@ -278,6 +278,14 @@ def _log_ratios(body, index, rule, refs, ps):
     return [(log_ref, [log - log_ref for log in logs]) for log_ref in log_refs]
 
 
+def _exp_or_inf(x):
+    # math.exp, reading inf where it raises OverflowError
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def monotonicity_scan(body, index, p_grid=_MONOTONE_GRID, rule=None):
     """Monotonicity of the normalized functional along a p grid.
 
@@ -288,8 +296,9 @@ def monotonicity_scan(body, index, p_grid=_MONOTONE_GRID, rule=None):
 
     Both are exactly constant on centered ellipsoids.  The sequence
     (omega^p / omega^0)^(n+p) is recorded alongside as form_ii_vol for
-    reference; it is not monotone in general (any ball of radius other
-    than one breaks it), so no verdict is attached to it.
+    reference, inf where it passes the float range; it is not monotone in
+    general (any ball of radius other than one breaks it), so no verdict is
+    attached to it.
     """
     n = body.dim
     grid = sorted(check_steps(p_grid, 2, "p grid"))
@@ -303,7 +312,7 @@ def monotonicity_scan(body, index, p_grid=_MONOTONE_GRID, rule=None):
     (_, to_0), (_, to_inf) = _log_ratios(body, index, rule, (0.0, math.inf), grid)
     form_i = [math.exp((n + p) / p * d) for p, d in zip(grid, to_0)]
     form_ii = [math.exp((n + p) * d) for p, d in zip(grid, to_inf)]
-    form_ii_vol = [math.exp((n + p) * d) for p, d in zip(grid, to_0)]
+    form_ii_vol = [_exp_or_inf((n + p) * d) for p, d in zip(grid, to_0)]
     tol = 1e-10
     # form_i must not fall and form_ii must not rise
     margins = [(b - a) / max(abs(a), abs(b)) for a, b in zip(form_i, form_i[1:])]

@@ -70,11 +70,14 @@ def _jsonable(obj):
 
 
 def _emit(records, args, columns=None):
-    """Write records (list of dicts) in the selected format."""
+    """Write records (list of dicts) in the selected format.
+
+    CSV columns default to the first record's keys, in order.
+    """
     fmt = getattr(args, "format", "json")
     buf = io.StringIO()
     if fmt == "csv":
-        cols = columns or sorted({k for rec in records for k in rec})
+        cols = columns or list(records[0])
         writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore",
                                 lineterminator="\n")
         writer.writeheader()
@@ -220,9 +223,6 @@ def _eval_record(body, index, p, rule):
     }
 
 
-_EVAL_COLS = ["body", "dim", "m", "k", "i", "p", "rule", "value"]
-
-
 def _cmd_eval(args):
     body = _load_body(args.body)
     index = _make_index(args, body.dim)
@@ -231,7 +231,7 @@ def _cmd_eval(args):
         rec = _eval_record(body, index, args.p, rule)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit([rec], args, columns=_EVAL_COLS)
+    _emit([rec], args)
     return 0
 
 
@@ -246,7 +246,7 @@ def _cmd_sweep(args):
             records.append(_eval_record(body, index, p, rule))
         except ValueError as exc:
             raise UsageError("p=%g: %s" % (p, exc))
-    _emit(records, args, columns=_EVAL_COLS)
+    _emit(records, args)
     return 0
 
 
@@ -310,8 +310,7 @@ def _cmd_divergence(args):
         "rule": rule.name,
         "value": value,
     }
-    _emit([rec], args, columns=["body", "dim", "m", "k", "i", "gen",
-                                "normalized", "rule", "value"])
+    _emit([rec], args)
     return 0
 
 
@@ -402,9 +401,6 @@ def _verify_all(args):
     return _verify_exit(reports)
 
 
-_MC_COLS = ["N", "mean_deficit", "stderr", "scaled", "scaled_stderr", "target", "ratio"]
-
-
 def _cmd_mc_polytope(args):
     body = _load_body(args.body)
     index = _make_index(args, body.dim)
@@ -437,7 +433,7 @@ def _cmd_mc_polytope(args):
         "target": check.target,
         "ratio": check.extrapolated / check.target,
     })
-    _emit(records, args, columns=_MC_COLS)
+    _emit(records, args)
     return 0
 
 

@@ -11,7 +11,7 @@ generator f the divergence is
     D_f(P_K, Q_K) = integral of f(p_K/q_K) * q_K dmu,
 
 whose sphere-side integrand uses p_K/q_K = 1/(s_{n-1} h^(n+1)), the
-reciprocal of the Petty ratio.  The adjoint generator f*(t) = t f(1/t)
+Petty ratio H_{n-1}/h^(n+1).  The adjoint generator f*(t) = t f(1/t)
 swaps the two arguments, Hellinger integrals interpolate the total masses,
 and the Hellinger exponent alpha = p/(n+p) reproduces the weighted L_p
 affine surface area.
@@ -49,21 +49,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DivergenceGenerator:
-    """A generator f on (0, inf) with declared shape and boundary limits.
+    """A generator f on (0, inf) with declared shape.
+
+    Both cone densities are positive at every node, so f is only ever
+    evaluated on (0, inf) and its limit at 0+ never enters a divergence.
 
     Attributes:
         name: identifier used in reports.
         fn: vectorized callable on positive arrays.
         shape: "convex", "concave" or "linear".
-        f_at_0: limit of f at 0+ (may be inf).
-        fstar_at_0: limit of the adjoint t*f(1/t) at 0+ (may be inf).
     """
 
     name: str
     fn: object
     shape: str
-    f_at_0: float
-    fstar_at_0: float
 
     def __post_init__(self):
         if self.shape not in ("convex", "concave", "linear"):
@@ -76,8 +75,8 @@ class DivergenceGenerator:
 def adjoint(gen):
     """The adjoint generator f*(t) = t * f(1/t).
 
-    Shape is preserved and the boundary limits swap; the adjoint of the
-    adjoint is pointwise the original.
+    Shape is preserved; the adjoint of the adjoint is pointwise the
+    original.
     """
     inner = gen.fn
 
@@ -86,22 +85,17 @@ def adjoint(gen):
         return t * inner(1.0 / t)
 
     name = gen.name[4:-1] if gen.name.startswith("adj(") else "adj(%s)" % gen.name
-    return DivergenceGenerator(name=name, fn=fn, shape=gen.shape,
-                               f_at_0=gen.fstar_at_0, fstar_at_0=gen.f_at_0)
+    return DivergenceGenerator(name=name, fn=fn, shape=gen.shape)
 
 
 def kl_generator():
     """f(t) = t log t, the Kullback-Leibler generator (convex)."""
-    return DivergenceGenerator(
-        name="kl", fn=lambda t: t * np.log(t), shape="convex",
-        f_at_0=0.0, fstar_at_0=math.inf)
+    return DivergenceGenerator(name="kl", fn=lambda t: t * np.log(t), shape="convex")
 
 
 def neg_log_generator():
     """f(t) = -log t, the reverse Kullback-Leibler generator (convex)."""
-    return DivergenceGenerator(
-        name="neg-log", fn=lambda t: -np.log(t), shape="convex",
-        f_at_0=math.inf, fstar_at_0=0.0)
+    return DivergenceGenerator(name="neg-log", fn=lambda t: -np.log(t), shape="convex")
 
 
 def _finite_alpha(alpha):
@@ -124,22 +118,9 @@ def power_generator(alpha):
         shape = "concave"
     else:
         shape = "convex"
-    if alpha > 0:
-        at0 = 0.0
-    elif alpha == 0:
-        at0 = 1.0
-    else:
-        at0 = math.inf
-    beta = 1.0 - alpha  # adjoint of t^a is t^(1-a)
-    if beta > 0:
-        star0 = 0.0
-    elif beta == 0:
-        star0 = 1.0
-    else:
-        star0 = math.inf
     return DivergenceGenerator(
         name="power(%g)" % alpha, fn=lambda t: _power(np.asarray(t, dtype=float), alpha),
-        shape=shape, f_at_0=at0, fstar_at_0=star0)
+        shape=shape)
 
 
 def sqrt_generator():
@@ -152,7 +133,7 @@ def linear_generator(a=1.0, b=0.0):
     a, b = float(a), float(b)
     return DivergenceGenerator(
         name="linear(%g,%g)" % (a, b), fn=lambda t: a * np.asarray(t, dtype=float) + b,
-        shape="linear", f_at_0=b, fstar_at_0=a)
+        shape="linear")
 
 
 def check_shape(gen):
@@ -184,7 +165,7 @@ class ConeDensityPair:
         p: density H_{n-1}/h^n per node (polar-side cone measure).
         q: density h per node (body-side cone measure).
         mu: weighting measure density against the sphere measure per node.
-        ratio: p/q = 1/(s_{n-1} h^(n+1)), the reciprocal Petty ratio.
+        ratio: p/q = 1/(s_{n-1} h^(n+1)), the Petty ratio H_{n-1}/h^(n+1).
     """
 
     p: np.ndarray

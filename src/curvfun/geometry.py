@@ -49,7 +49,6 @@ __all__ = [
     "curvature_at",
     "curvature_arrays",
     "curvature_grid",
-    "check_c2plus",
     "body_volume",
     "polar_volume",
     "centroid",
@@ -620,16 +619,6 @@ def curvature_arrays(body, U):
     return h, x, radii, s, H
 
 
-def _tested_grid(body, rule):
-    # the read-only grid on the rule's nodes and its radii, once the
-    # positivity test has passed
-    h, radii, s = _curvature_core(body, rule.nodes)
-    _check_positive(body, rule.nodes, h, radii)
-    h.setflags(write=False)
-    s.setflags(write=False)
-    return CurvatureGrid(h=h, s=s), radii
-
-
 def curvature_grid(body, rule=None):
     """Curvature data of the body at the rule's nodes, read-only.
 
@@ -640,7 +629,15 @@ def curvature_grid(body, rule=None):
     """
     if rule is None:
         rule = default_rule(body.dim)
-    return _cached(body, ("grid", rule), lambda: _tested_grid(body, rule)[0])
+
+    def compute():
+        h, radii, s = _curvature_core(body, rule.nodes)
+        _check_positive(body, rule.nodes, h, radii)
+        h.setflags(write=False)
+        s.setflags(write=False)
+        return CurvatureGrid(h=h, s=s)
+
+    return _cached(body, ("grid", rule), compute)
 
 
 def curvature_at(body, u):
@@ -659,19 +656,6 @@ def curvature_at(body, u):
     h, x, radii, s, H = curvature_arrays(body, (u / norm)[None, :])
     return CurvaturePoint(u=u, x=x[0], h=float(h[0]),
                           radii=tuple(radii[0]), s=tuple(s[0]), H=tuple(H[0]))
-
-
-def check_c2plus(body, rule=None):
-    """Validate positive curvature and positive support on the rule's nodes.
-
-    Runs curvature_grid's computation and test and keeps the grid when it
-    passes; returns the minimal tangential hessian eigenvalue found.
-    """
-    if rule is None:
-        rule = default_rule(body.dim)
-    grid, radii = _tested_grid(body, rule)
-    _cached(body, ("grid", rule), lambda: grid)
-    return float(radii.min())
 
 
 # ---------------------------------------------------------------------------

@@ -29,17 +29,7 @@ __all__ = [
     "default_rule",
     "parse_rule_spec",
     "integrate",
-    "sphere_area",
 ]
-
-
-def sphere_area(dim):
-    """Surface measure of the unit sphere boundary in R^dim (2*pi or 4*pi)."""
-    if dim == 2:
-        return 2.0 * math.pi
-    if dim == 3:
-        return 4.0 * math.pi
-    raise ValueError("only dimensions 2 and 3 are supported")
 
 
 class SphereRule:

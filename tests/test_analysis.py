@@ -197,6 +197,11 @@ def test_monotonicity_grid_validation(ball2, ball3, ellipse21, pball10):
         cf.monotonicity_scan(ball3, Z3, (1.0, 4e16))
     assert cf.monotonicity_scan(ball2, Z2, (1.0, 1e16)).verdict == "equality"
     assert cf.monotonicity_scan(ball3, Z3, (1.0, 3e16)).verdict == "equality"
+    # (omega^p/omega^0)^(n+p) past the float range reads inf, and the
+    # verdict is form_i's and form_ii's
+    rep = cf.monotonicity_scan(pball10, Z2, (1.0, 1e5))
+    assert rep.verdict == "holds" and rep.extra["form_ii_vol"][-1] == math.inf
+    assert [round(v, 3) for v in rep.extra["form_ii"]] == [0.841, 0.722]
     # grids are normalized to increasing order rather than rejected
     rep = cf.monotonicity_scan(ball2, Z2, (4.0, 1.0, 2.0))
     assert rep.params["p_grid"] == [1.0, 2.0, 4.0]

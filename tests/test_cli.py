@@ -146,6 +146,7 @@ def test_sweep_csv(corpus_dir, capsys):
         ["sweep", "--body", str(corpus_dir / "ellipse_2_1.json"),
          "--p-grid", "1:4:4", "--csv"], capsys)
     assert code == 0
+    assert out.splitlines()[0] == "body,dim,m,k,i,p,rule,value"
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 4
     assert [r["p"] for r in rows] == ["1.0", "2.0", "3.0", "4.0"]
@@ -179,6 +180,13 @@ def test_divergence_kl(corpus_dir, capsys):
     assert code == 0
     rec = json.loads(out.strip())
     assert abs(rec["value"] - (-2 * math.pi * math.log(2))) < 1e-9
+    code, out, err = run_cli(
+        ["divergence", "--body", str(corpus_dir / "ellipse_2_1.json"),
+         "--gen", "kl", "--csv"], capsys)
+    assert code == 0
+    header, row = out.splitlines()
+    assert header == "body,dim,m,k,i,gen,normalized,rule,value"
+    assert float(row.split(",")[-1]) == rec["value"]
 
 
 def test_divergence_hellinger(corpus_dir, capsys):
@@ -262,9 +270,29 @@ def test_divergence_matches_library(corpus_dir, capsys, name, gen, flags, call):
     ("verify", ["monotone", "--p-grid", "1,1e17"], "p = 1e+17 cannot be told from p = inf"),
     ("verify", ["limit-inf", "--p-schedule", "10,30,100,300,1e17"],
      "p = 1e+17 cannot be told from p = inf"),
+    # malformed lists, grids and generator specs
+    ("sweep", ["--p-grid", "1:2"], "error: --p-grid expects a:b:steps[:log], got '1:2'"),
+    ("sweep", ["--p-grid", "1:2:x"],
+     "error: --p-grid expects numeric bounds and integer steps"),
+    ("sweep", ["--p-grid", "0:4:5:log"], "error: log grids need positive endpoints"),
+    ("sweep", ["--p-grid", "1,a"], "error: --p-grid expects a:b:steps[:log] or a comma list"),
+    ("divergence", ["--gen", "kl:1"], "error: --gen kl takes no parameter"),
+    ("divergence", ["--gen", "hellinger"],
+     "error: --gen hellinger needs a parameter, e.g. hellinger:0.5"),
+    ("divergence", ["--gen", "hellinger:abc"],
+     "error: --gen hellinger parameter must be a number, got 'abc'"),
+    ("verify", ["limit-inf", "--p-schedule", "1,a"],
+     "error: --p-schedule expects comma-separated numbers, got '1,a'"),
+    ("eval", ["--p", "1", "--i", "1,x"],
+     "error: --i expects comma-separated integers, got '1,x'"),
+    ("mc-polytope", ["--p", "1", "--N", "10,x", "--trials", "4", "--seed", "1"],
+     "error: --N expects comma-separated integers, got '10,x'"),
 ], ids=["eval-nan", "eval-neg-inf", "eval-neg-inf-spaced", "eval-neg-infinity-spaced",
         "eval-abc", "mc-polytope-nan", "monotone-inf", "limit-inf-inf", "limit-zero-inf",
-        "limit-zero-0", "monotone-1e308", "monotone-1e17", "limit-inf-1e17"])
+        "limit-zero-0", "monotone-1e308", "monotone-1e17", "limit-inf-1e17",
+        "p-grid-two-parts", "p-grid-steps-x", "p-grid-log-zero", "p-grid-list-a",
+        "gen-kl-param", "gen-hellinger-bare", "gen-hellinger-abc", "p-schedule-a", "i-x",
+        "N-x"])
 def test_bad_p_exits_2(corpus_dir, capsys, command, flags, message):
     code, out, err = run_cli([command, "--body", str(corpus_dir / "ball2.json")] + flags,
                              capsys)
@@ -294,7 +322,20 @@ def test_eval_non_finite_k_exits_2(tmp_path, capsys):
      "mode must be an integer >= 3"),
     ({"dim": 2, "type": "perturbed_ball", "mode": math.nan, "epsilon": 0.05},
      "mode must be an integer >= 3"),
-], ids=["radius-nan", "radius-inf", "epsilon-nan", "semi-axis-nan", "mode-inf", "mode-nan"])
+    # malformed specs
+    ([2, "ball"], "body spec must be a JSON object"),
+    ({"dim": 4, "type": "ball"}, "body spec dim must be 2 or 3, got 4"),
+    ({"dim": 2, "type": "ellipsoid"}, "ellipsoid spec needs either 'matrix' or 'semi_axes'"),
+    ({"dim": 2, "type": "perturbed_ball", "mode": 3}, "perturbed_ball spec needs 'epsilon'"),
+    ({"dim": 2, "type": "ellipsoid", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "matrix shape (3, 3) does not match dim 2"),
+    ({"dim": 2, "type": "ellipsoid", "matrix": [[2, 1], [0, 2]]},
+     "ellipsoid matrix must be symmetric"),
+    ({"dim": 2, "type": "ellipsoid", "matrix": [[1, 2], [2, 1]]},
+     "ellipsoid matrix must be positive definite"),
+], ids=["radius-nan", "radius-inf", "epsilon-nan", "semi-axis-nan", "mode-inf", "mode-nan",
+        "not-an-object", "dim-4", "ellipsoid-no-form", "perturbed-no-epsilon",
+        "matrix-shape", "matrix-asymmetric", "matrix-indefinite"])
 def test_non_finite_body_file_exits_2(tmp_path, capsys, spec, message):
     # json writes NaN and Infinity, and json.load reads them back
     path = tmp_path / "bad.json"
@@ -334,6 +375,14 @@ def test_verify_single_claims(corpus_dir, capsys):
         assert code == 0, (claim, err)
         rec = json.loads(out.strip().splitlines()[-1])
         assert rec["verdict"] in ("holds", "equality")
+    # (omega^p/omega^0)^(n+p) past the float range prints "inf"
+    code, out, err = run_cli(
+        ["verify", "monotone", "--body", str(corpus_dir / "perturbed_disk_eps01.json"),
+         "--p-grid", "1,1e5", "--json"], capsys)
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["verdict"] == "holds" and rec["extra"]["form_ii_vol"][-1] == "inf"
+    assert [round(v, 3) for v in rec["extra"]["form_ii"]] == [0.841, 0.722]
 
 
 _Z2 = cf.WeightIndex.zero(2)
@@ -430,9 +479,12 @@ def test_verify_all(corpus_dir, capsys):
     assert len(records) > 300
 
 
-def test_verify_all_needs_corpus(capsys):
+def test_verify_all_needs_corpus(capsys, tmp_path):
     code, out, err = run_cli(["verify", "all"], capsys)
     assert code == 2
+    code, out, err = run_cli(["verify", "all", "--corpus", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: no .json body files in %s\n" % tmp_path
 
 
 @pytest.mark.parametrize("flag, spec, dim, example", [

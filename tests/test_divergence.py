@@ -32,8 +32,6 @@ def test_adjoint_involution(gen):
     assert np.max(np.abs(back(t) - ref)) < 1e-11 * scale
     assert back.name == gen.name
     assert cf.adjoint(gen).name == "adj(%s)" % gen.name
-    assert cf.adjoint(gen).f_at_0 == gen.fstar_at_0
-    assert cf.adjoint(gen).fstar_at_0 == gen.f_at_0
 
 
 @pytest.mark.parametrize("gen", GENS, ids=lambda g: g.name)
@@ -45,8 +43,7 @@ def test_declared_shapes(gen):
 
 def test_generator_shape_validation():
     with pytest.raises(ValueError, match="shape"):
-        cf.DivergenceGenerator(name="bad", fn=lambda t: t, shape="wavy",
-                               f_at_0=0.0, fstar_at_0=0.0)
+        cf.DivergenceGenerator(name="bad", fn=lambda t: t, shape="wavy")
 
 
 def test_linear_divergence_is_mass(ellipse21):

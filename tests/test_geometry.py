@@ -286,7 +286,7 @@ def test_perturbed_ball_limits():
 
 def test_perturbed_ball_convexity_check(pball05, pball3d):
     for body in (pball05, pball3d):
-        cf.check_c2plus(body)
+        cf.curvature_grid(body)
 
 
 def test_from_support_matches_analytic(ellipse21):
@@ -325,7 +325,7 @@ def test_body_from_dict_round_trip(tmp_path):
     for spec in specs:
         body = cf.body_from_dict(spec)
         assert body.dim == spec["dim"]
-        cf.check_c2plus(body)
+        cf.curvature_grid(body)
     with pytest.raises(ValueError, match="unknown body spec keys"):
         cf.body_from_dict({"dim": 2, "type": "ball", "wobble": 1})
     with pytest.raises(ValueError, match="missing required key"):
@@ -338,6 +338,19 @@ def test_body_from_dict_round_trip(tmp_path):
     body = cf.load_body(path)
     assert body.label == "ellipse"
     assert abs(cf.body_volume(body) - 2 * math.pi) < 1e-10
+    # the same ellipse given by its matrix has the same grid bits
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"dim": 2, "type": "ellipsoid", "matrix": [[4, 0], [0, 1]]}))
+    for name in ("h", "s"):
+        assert (getattr(cf.curvature_grid(cf.load_body(path)), name).tobytes()
+                == getattr(cf.curvature_grid(body), name).tobytes())
+    # a translated file keeps its own label
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps({"dim": 2, "type": "ball", "translate": [0.1, 0.0],
+                                "label": "moved"}))
+    assert cf.load_body(path).label == "moved"
+    assert cf.body_from_dict({"dim": 2, "type": "ball", "translate": [0.1, 0.0],
+                              "label": "moved"}).label == "moved"
 
 
 def test_load_body_rejects_malformed(tmp_path):
@@ -357,7 +370,7 @@ def test_convexity_error_reports_direction():
     with pytest.raises(cf.ConvexityError, match="wavy"):
         cf.curvature_arrays(bad, cf.circle_rule(64).nodes)
     with pytest.raises(cf.ConvexityError):
-        cf.check_c2plus(bad, rule=cf.circle_rule(64))
+        cf.curvature_grid(bad, rule=cf.circle_rule(64))
     # the same construction stays convex at a small amplitude
     disk = cf.make_perturbed_ball(2, mode=3, eps=0.12)
     _, _, radii, _, _ = cf.curvature_arrays(disk, cf.circle_rule(64).nodes)
@@ -378,8 +391,6 @@ def test_zero_radius_raises_without_warning(dim):
                           hessian, "flat%d" % dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(cf.ConvexityError, match="tangential hessian eigenvalue"):
-            cf.check_c2plus(flat)
         with pytest.raises(cf.ConvexityError, match="tangential hessian eigenvalue"):
             cf.curvature_grid(flat)
 
@@ -425,12 +436,11 @@ def test_nan_support_fails_the_positivity_test(dim):
     nodes = cf.default_rule(dim).nodes
     # one test, so one message from every gate
     messages = []
-    for gate in (cf.check_c2plus, cf.curvature_grid,
-                 lambda b: cf.curvature_arrays(b, nodes)):
+    for gate in (cf.curvature_grid, lambda b: cf.curvature_arrays(b, nodes)):
         with pytest.raises(cf.ConvexityError, match="support function nan <= 0") as info:
             gate(body)
         messages.append(str(info.value))
-    assert messages == [messages[0]] * 3
+    assert messages == [messages[0]] * 2
     assert messages[0].endswith("; origin not interior")
     assert body._cache == {}
     with pytest.raises(ValueError, match="not strictly interior"):
@@ -442,7 +452,7 @@ def test_nan_radius_fails_the_positivity_test():
     body = cf.SupportBody(2, ball.support, ball.gradient,
                           lambda U: math.nan * ball.hessian(U), "nan-hessian")
     with pytest.raises(cf.ConvexityError, match="eigenvalue nan"):
-        cf.check_c2plus(body)
+        cf.curvature_grid(body)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -623,7 +633,7 @@ def test_no_grid_kept_without_a_passing_check():
 
     wavy = cf.from_support(h, 2, label="wavy")
     with pytest.raises(cf.ConvexityError):
-        cf.check_c2plus(wavy)
+        cf.curvature_grid(wavy)
     assert wavy._cache == {}
 
 
@@ -636,7 +646,7 @@ def test_check_then_integral_evaluates_the_hessian_once():
         return base.hessian(U)
 
     body = cf.SupportBody(3, base.support, base.gradient, hessian, "counted")
-    cf.check_c2plus(body)
+    cf.curvature_grid(body)
     cf.asa(body, 1.0)
     assert calls == [len(cf.default_rule(3).nodes)]
 

@@ -82,6 +82,8 @@ def test_sample_boundary_deterministic(ball2, ellipse21):
         assert np.array_equal(a, b)
         c = cf.sample_boundary(density, 257, seed=12)
         assert not np.array_equal(a, c)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            cf.sample_boundary(density, 0)
 
 
 def test_sample_boundary_sphere_latitude_law(ball3):
@@ -564,6 +566,8 @@ def test_interpretation_check_schedule_validation(ball2):
         neville_to_zero([0.1, 0.1, 0.2], [1.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="finite, got nan"):
         neville_to_zero([0.1, math.nan], [1.0, 2.0])
+    with pytest.raises(ValueError, match="equal length"):
+        neville_to_zero([0.1, 0.2, 0.3], [1.0, 2.0])
 
 
 @settings(max_examples=30, deadline=None)
