@@ -43,6 +43,14 @@ Each digest is over exact float64 bits (float.hex):
   fixed seeds, 2000 points in the plane and 500 in space) on the 2-D and
   3-D bodies above, then ``expected_deficit`` means on the disk at N = 2,
   3 and 4, where hulls turn from degenerate to proper.
+* ``cli``: a fixed battery of ``curvfun`` command lines run through
+  ``cli.run`` on the ``corpus-gen`` corpus: each subcommand in each output
+  format, every claim and generator, and malformed input of every kind.
+  Each run contributes its argv, exit code, stdout and stderr (and the
+  ``--out`` file, if any), with the temporary directory's path replaced by
+  ``<tmp>``.  An unwritable ``--out`` path, ``corpus-gen`` on an existing
+  file and the dim-3 Monte Carlo refusal are left out: their exits and
+  messages are pinned by the tests instead.
 
 Run it on two checkouts and compare the output:
 
@@ -240,6 +248,130 @@ def _samples(bodies):
     return out
 
 
+_FMTS = ("--json", "--csv", "--pretty")
+_MC = ["--p", "1", "--N", "20,40,80", "--trials", "6", "--seed", "1"]
+
+
+def _cli_battery(tmp):
+    """(argv, --out file or None) pairs; "{c}" is the corpus directory."""
+    names = [p.name for p in sorted(Path(tmp, "corpus").glob("*.json"))]
+
+    def body(name):
+        return ["--body", "{c}/" + name]
+
+    runs = []
+    for name in names:
+        for fmt in _FMTS:
+            runs.append(["eval", "--p", "1", fmt] + body(name))
+            runs.append(["sweep", "--p-grid", "0.5:4:3", fmt] + body(name))
+            runs.append(["divergence", "--gen", "kl", fmt] + body(name))
+        runs.append(["eval", "--p", "inf"] + body(name))
+        for claim in ("holder3", "holdervol", "kinterp", "monotone", "petty",
+                      "limit-inf", "limit-zero"):
+            runs.append(["verify", claim] + body(name))
+        if name.startswith("ball3") or name.startswith("ellipsoid"):
+            runs.append(["mc-polytope", "--dim-3-ok", "--N", "8,12,16", "--trials", "3",
+                         "--seed", "2", "--p", "1"] + body(name))
+        else:
+            for fmt in _FMTS:
+                runs.append(["mc-polytope", fmt] + _MC + body(name))
+    ellipse, disk = body("ellipse_2_1.json"), body("ball2.json")
+    for gen in ("kl-rev", "hellinger:0.5", "renyi:0.5", "power:2", "sqrt"):
+        runs.append(["divergence", "--gen", gen] + ellipse)
+    for gen in ("kl", "kl-rev"):
+        runs.append(["divergence", "--gen", gen, "--normalized"]
+                    + body("perturbed_disk_eps005.json"))
+    for claim in ("holder3", "monotone", "limit-zero"):
+        for fmt in _FMTS[1:]:
+            runs.append(["verify", claim, fmt] + ellipse)
+    runs += [
+        ["eval", "--p", "2", "--m", "2", "--k", "1.5", "--i", "2"] + disk,
+        ["eval", "--p", "1", "--json", "--out", "{t}/out.json"] + disk,
+        ["eval", "--p", "0.5", "--m", "2", "--i", "0,1", "--rule", "16x32"]
+        + body("ellipsoid_2_1_1.json"),
+        ["eval", "--p=-0.5", "--rule", "256", "--csv"] + ellipse,
+        ["sweep", "--p-grid", "0.25:16:7:log"] + ellipse,
+        ["sweep", "--p-grid", "1,2,3", "--csv"] + ellipse,
+        ["verify", "holder3", "--r", "4", "--s", "0", "--t", "1"] + disk,
+        ["verify", "kinterp", "--r", "0", "--s", "1", "--t", "2"] + disk,
+        ["verify", "monotone", "--p-grid", "1,1e5"] + body("perturbed_disk_eps01.json"),
+        ["verify", "limit-zero", "--p-schedule", "0.2,0.05,0.02"] + ellipse,
+        ["verify", "all", "--corpus", "{c}"],
+        ["verify", "all", "--corpus", "{c}", "--csv", "--rule2", "128", "--rule3", "16x32"],
+        ["verify", "all", "--corpus", "{c}", "--pretty", "--rule2", "128",
+         "--rule3", "16x32"],
+        ["corpus-gen", "{t}/again"],
+        ["--version"],
+        # malformed input
+        ["eval", "--p", "-2"] + disk,
+        ["eval", "--p", "-3"] + body("ball3.json"),
+        ["eval", "--p", "1", "--m", "2", "--i", "1"] + disk,
+        ["eval", "--p", "1", "--k", "inf"] + disk,
+        ["eval", "--p", "1", "--rule", "abc"] + disk,
+        ["eval", "--p", "-x"] + disk,
+        ["eval", "--p", "1", "--body", "{t}/nope.json"],
+        ["eval"] + disk,
+        ["frobnicate"],
+        ["sweep", "--p-grid", "1,-2"] + disk,
+        ["sweep", "--p-grid", "4:1:0"] + disk,
+        ["divergence", "--gen", "what"] + disk,
+        ["divergence", "--gen", "sqrt", "--normalized"] + disk,
+        ["divergence", "--gen", "hellinger:nan"] + disk,
+        ["divergence", "--gen", "renyi:inf"] + disk,
+        ["verify", "holder3"],
+        ["verify", "all"],
+        ["verify", "all", "--corpus", "{t}/empty"],
+        ["verify", "all", "--corpus", "{c}", "--rule2", "abc"],
+        ["verify", "all", "--corpus", "{c}", "--rule3", "8x8"],
+        ["mc-polytope", "--p", "1", "--N", "40,80", "--trials", "4"] + disk,
+        ["mc-polytope", "--p", "1", "--N", "40,40,80", "--trials", "4", "--seed", "1"] + disk,
+    ]
+    for flags in (
+            ["eval", "--p", "nan"], ["eval", "--p=-inf"], ["eval", "--p", "-Infinity"],
+            ["eval", "--p", "abc"], ["mc-polytope", "--p", "nan", "--N", "40,80,160",
+                                     "--trials", "4", "--seed", "1"],
+            ["verify", "monotone", "--p-grid", "1,2,inf"],
+            ["verify", "limit-inf", "--p-schedule", "10,30,inf"],
+            ["verify", "limit-zero", "--p-schedule", "0.3,0.1,0"],
+            ["verify", "monotone", "--p-grid", "1,1e17"],
+            ["sweep", "--p-grid", "1:2"], ["sweep", "--p-grid", "1:2:x"],
+            ["sweep", "--p-grid", "0:4:5:log"], ["sweep", "--p-grid", "1,a"],
+            ["divergence", "--gen", "kl:1"], ["divergence", "--gen", "hellinger"],
+            ["divergence", "--gen", "hellinger:abc"],
+            ["verify", "limit-inf", "--p-schedule", "1,a"],
+            ["eval", "--p", "1", "--i", "1,x"],
+            ["mc-polytope", "--p", "1", "--N", "10,x", "--trials", "4", "--seed", "1"]):
+        runs.append(flags + disk)
+    bad = {"not-an-object": [2, "ball"], "dim-4": {"dim": 4, "type": "ball"},
+           "no-type": {"dim": 2}, "unknown-key": {"dim": 2, "type": "ball", "size": 1},
+           "radius-nan": {"dim": 2, "type": "ball", "radius": math.nan},
+           "no-epsilon": {"dim": 2, "type": "perturbed_ball", "mode": 3},
+           "asymmetric": {"dim": 2, "type": "ellipsoid", "matrix": [[2, 1], [0, 2]]}}
+    for name, spec in bad.items():
+        Path(tmp, name + ".json").write_text(json.dumps(spec))
+        runs.append(["eval", "--p", "1", "--body", "{t}/%s.json" % name])
+    Path(tmp, "malformed.json").write_text("{")
+    runs.append(["eval", "--p", "1", "--body", "{t}/malformed.json"])
+    return [[a.format(c=Path(tmp, "corpus"), t=tmp) for a in argv] for argv in runs]
+
+
+def _cli():
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cli.corpus_gen(Path(tmp, "corpus"))
+        Path(tmp, "empty").mkdir()
+        for argv in _cli_battery(tmp):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.run(argv)
+            texts = [stdout.getvalue(), stderr.getvalue()]
+            if "--out" in argv:
+                texts.append(Path(argv[argv.index("--out") + 1]).read_text())
+            out.append(_digest([[a.replace(tmp, "<tmp>") for a in argv], code]
+                               + [t.replace(tmp, "<tmp>") for t in texts]))
+    return out
+
+
 def _digest(obj):
     text = obj if isinstance(obj, str) else json.dumps(obj, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -285,6 +417,7 @@ def main():
     print("%-12s %s" % ("omega", _digest(_omega())))
     print("%-12s %s" % ("verify", _digest(_verify())))
     print("%-12s %s" % ("samples", _digest(_samples(_bodies() + _spatial()))))
+    print("%-12s %s" % ("cli", _digest(_cli())))
 
 
 if __name__ == "__main__":
