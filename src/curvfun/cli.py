@@ -3,12 +3,14 @@
 Subcommands: eval, sweep, divergence, verify (single claims or the full
 suite on a body corpus), mc-polytope, corpus-gen.  Machine output is JSON
 lines by default, CSV behind --csv, human-readable text behind --pretty.
-Exit codes: 0 on success (and no violated verdicts), 1 if any verdict is
-"violated", 2 on usage errors.  Every command is deterministic for fixed
+Exit codes: 0 on success; 1 if any verdict is "violated"; 2, with one
+"error: ..." line on stderr, for any bad input, an unreadable body file and
+an unwritable --out included.  Every command is deterministic for fixed
 flags and seed.
 """
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -25,10 +27,6 @@ from ._version import __version__
 __all__ = ["run", "main", "corpus_gen"]
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -38,10 +36,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(
             r"^-(?:\.?\d|(?:inf|infinity|nan)$)", re.I)
 
-    # single-line diagnostics on stderr, exit code 2, no usage dump
+    # no usage dump: run prints the one error line
     def error(self, message):
-        print("error: %s" % message, file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -69,42 +66,31 @@ def _jsonable(obj):
     return obj
 
 
+def _cell(v):
+    # a CSV or pretty cell: nested values become sorted-key JSON
+    v = _jsonable(v)
+    return json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+
+
 def _emit(records, args, columns=None):
     """Write records (list of dicts) in the selected format.
 
     CSV columns default to the first record's keys, in order.
     """
-    fmt = getattr(args, "format", "json")
-    buf = io.StringIO()
-    if fmt == "csv":
+    if args.format == "csv":
         cols = columns or list(records[0])
-        writer = csv.DictWriter(buf, fieldnames=cols, extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        for rec in records:
-            row = {}
-            for c in cols:
-                v = _jsonable(rec.get(c, ""))
-                if isinstance(v, (dict, list)):
-                    v = json.dumps(v, sort_keys=True)
-                row[c] = v
-            writer.writerow(row)
-    elif fmt == "pretty":
-        for rec in records:
-            parts = []
-            for k, v in rec.items():
-                v = _jsonable(v)
-                if isinstance(v, (dict, list)):
-                    v = json.dumps(v, sort_keys=True)
-                parts.append("%s=%s" % (k, v))
-            buf.write("  ".join(parts) + "\n")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([_cell(rec.get(c, "")) for c in cols] for rec in records)
+        text = buf.getvalue()
+    elif args.format == "pretty":
+        text = "".join("  ".join("%s=%s" % (k, _cell(v)) for k, v in rec.items()) + "\n"
+                       for rec in records)
     else:
-        for rec in records:
-            buf.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
-    text = buf.getvalue()
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+        text = "".join(json.dumps(_jsonable(rec), sort_keys=True) + "\n" for rec in records)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -145,34 +131,33 @@ def _load_body(path):
     try:
         return geometry.load_body(path)
     except (OSError, ValueError, KeyError) as exc:
-        raise UsageError("cannot load body %s: %s" % (path, exc))
+        raise ValueError("cannot load body %s: %s" % (path, exc))
 
 
-def _parse_i(spec, dim):
-    text = (spec or "").strip()
-    if not text:
-        return (0,) * (dim - 1)
+_LIST_OF = {int: "integers", float: "numbers"}
+
+
+def _parse_list(spec, flag, cast):
+    """A comma-separated list of cast values (int or float)."""
     try:
-        vals = tuple(int(v) for v in text.split(","))
+        return [cast(v) for v in spec.split(",")]
     except ValueError:
-        raise UsageError("--i expects comma-separated integers, got %r" % spec)
-    return vals
-
-
-def _make_index(args, dim):
-    try:
-        return functionals.WeightIndex(args.m, args.k, _parse_i(args.i, dim))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc))
+        raise ValueError("%s expects comma-separated %s, got %r"
+                         % (flag, _LIST_OF[cast], spec))
 
 
 def _make_rule(spec, dim):
     if spec is None:
         return quadrature.default_rule(dim)
-    try:
-        return quadrature.parse_rule_spec(spec, dim)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return quadrature.parse_rule_spec(spec, dim)
+
+
+def _body_index_rule(args):
+    """The --body file, the weight index of --m, --k and --i, and the --rule."""
+    body = _load_body(args.body)
+    i = _parse_list(args.i, "--i", int) if args.i.strip() else [0] * (body.dim - 1)
+    index = functionals.WeightIndex(args.m, args.k, i)
+    return body, index, _make_rule(args.rule, body.dim)
 
 
 def _parse_p_grid(spec):
@@ -180,72 +165,53 @@ def _parse_p_grid(spec):
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
-            raise UsageError("--p-grid expects a:b:steps[:log], got %r" % spec)
+            raise ValueError("--p-grid expects a:b:steps[:log], got %r" % spec)
         try:
             a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise UsageError("--p-grid expects numeric bounds and integer steps")
+            raise ValueError("--p-grid expects numeric bounds and integer steps")
         if steps < 2:
-            raise UsageError("--p-grid needs at least 2 steps")
+            raise ValueError("--p-grid needs at least 2 steps")
         if len(parts) == 4:
             if a <= 0 or b <= 0:
-                raise UsageError("log grids need positive endpoints")
+                raise ValueError("log grids need positive endpoints")
             return [float(v) for v in np.geomspace(a, b, steps)]
         return [float(v) for v in np.linspace(a, b, steps)]
     try:
         return [float(v) for v in spec.split(",")]
     except ValueError:
-        raise UsageError("--p-grid expects a:b:steps[:log] or a comma list")
-
-
-def _parse_int_list(spec, flag):
-    try:
-        return [int(v) for v in spec.split(",")]
-    except ValueError:
-        raise UsageError("%s expects comma-separated integers, got %r" % (flag, spec))
+        raise ValueError("--p-grid expects a:b:steps[:log] or a comma list")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+def _record(body, index, rule, value, **fields):
+    # eval and divergence rows: the body and index, the fields, the value
+    return {"body": body.label, "dim": body.dim, "m": index.m, "k": index.k,
+            "i": list(index.i), **fields, "rule": rule.name, "value": value}
+
+
 def _eval_record(body, index, p, rule):
     fv = functionals.weighted_asa(body, index, p, rule)
-    return {
-        "body": body.label,
-        "dim": body.dim,
-        "m": index.m,
-        "k": index.k,
-        "i": list(index.i),
-        "p": fv.p,
-        "rule": rule.name,
-        "value": fv.value,
-    }
+    return _record(body, index, rule, fv.value, p=fv.p)
 
 
 def _cmd_eval(args):
-    body = _load_body(args.body)
-    index = _make_index(args, body.dim)
-    rule = _make_rule(args.rule, body.dim)
-    try:
-        rec = _eval_record(body, index, args.p, rule)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _emit([rec], args)
+    body, index, rule = _body_index_rule(args)
+    _emit([_eval_record(body, index, args.p, rule)], args)
     return 0
 
 
 def _cmd_sweep(args):
-    body = _load_body(args.body)
-    index = _make_index(args, body.dim)
-    rule = _make_rule(args.rule, body.dim)
-    grid = _parse_p_grid(args.p_grid)
+    body, index, rule = _body_index_rule(args)
     records = []
-    for p in grid:
+    for p in _parse_p_grid(args.p_grid):
         try:
             records.append(_eval_record(body, index, p, rule))
         except ValueError as exc:
-            raise UsageError("p=%g: %s" % (p, exc))
+            raise ValueError("p=%g: %s" % (p, exc))
     _emit(records, args)
     return 0
 
@@ -272,45 +238,30 @@ _NORMALIZABLE = [name for name, (_, norm, _) in _GENERATORS.items() if norm]
 def _parse_gen(spec):
     name, _, arg = spec.partition(":")
     if name not in _GENERATORS:
-        raise UsageError("unknown generator %r" % spec)
+        raise ValueError("unknown generator %r" % spec)
     takes_arg, _, _ = _GENERATORS[name]
     if not takes_arg:
         if arg:
-            raise UsageError("--gen %s takes no parameter" % name)
+            raise ValueError("--gen %s takes no parameter" % name)
         return name, None
     if not arg:
-        raise UsageError("--gen %s needs a parameter, e.g. %s:0.5" % (name, name))
+        raise ValueError("--gen %s needs a parameter, e.g. %s:0.5" % (name, name))
     try:
         return name, float(arg)
     except ValueError:
-        raise UsageError("--gen %s parameter must be a number, got %r" % (name, arg))
+        raise ValueError("--gen %s parameter must be a number, got %r" % (name, arg))
 
 
 def _cmd_divergence(args):
-    body = _load_body(args.body)
-    index = _make_index(args, body.dim)
-    rule = _make_rule(args.rule, body.dim)
+    body, index, rule = _body_index_rule(args)
     name, alpha = _parse_gen(args.gen)
     _, normalizable, call = _GENERATORS[name]
     if args.normalized and not normalizable:
-        raise UsageError("--normalized only applies to the %s generators"
+        raise ValueError("--normalized only applies to the %s generators"
                          % " and ".join(_NORMALIZABLE))
-    try:
-        value = call(body, index, rule, alpha, args.normalized)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    rec = {
-        "body": body.label,
-        "dim": body.dim,
-        "m": index.m,
-        "k": index.k,
-        "i": list(index.i),
-        "gen": args.gen,
-        "normalized": args.normalized,
-        "rule": rule.name,
-        "value": value,
-    }
-    _emit([rec], args)
+    value = call(body, index, rule, alpha, args.normalized)
+    _emit([_record(body, index, rule, value, gen=args.gen, normalized=args.normalized)],
+          args)
     return 0
 
 
@@ -337,11 +288,7 @@ def _p_grid(args):
 def _p_schedule(args):
     if not args.p_schedule:
         return {}
-    try:
-        return {"p_schedule": [float(v) for v in args.p_schedule.split(",")]}
-    except ValueError:
-        raise UsageError("--p-schedule expects comma-separated numbers, got %r"
-                         % args.p_schedule)
+    return {"p_schedule": _parse_list(args.p_schedule, "--p-schedule", float)}
 
 
 # claim name -> its library call; the keys are verify's claim choices
@@ -366,14 +313,8 @@ def _cmd_verify(args):
     if args.claim == "all":
         return _verify_all(args)
     if not args.body:
-        raise UsageError("verify %s needs --body" % args.claim)
-    body = _load_body(args.body)
-    index = _make_index(args, body.dim)
-    rule = _make_rule(args.rule, body.dim)
-    try:
-        rep = _CLAIMS[args.claim](body, index, rule, args)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError("verify %s needs --body" % args.claim)
+    rep = _CLAIMS[args.claim](*_body_index_rule(args), args)
     _emit_reports([rep], args)
     return _verify_exit([rep])
 
@@ -381,16 +322,14 @@ def _cmd_verify(args):
 def _verify_all(args):
     corpus = args.corpus
     if not corpus or not os.path.isdir(corpus):
-        raise UsageError("verify all needs --corpus DIR with body files")
+        raise ValueError("verify all needs --corpus DIR with body files")
     paths = sorted(p for p in os.listdir(corpus) if p.endswith(".json"))
     if not paths:
-        raise UsageError("no .json body files in %s" % corpus)
+        raise ValueError("no .json body files in %s" % corpus)
     bodies = [_load_body(os.path.join(corpus, p)) for p in paths]
     reports = analysis.run_verification_suite(
         bodies, rule2=_make_rule(args.rule2, 2), rule3=_make_rule(args.rule3, 3))
-    counts = {}
-    for r in reports:
-        counts[r.verdict] = counts.get(r.verdict, 0) + 1
+    counts = collections.Counter(r.verdict for r in reports)
     summary = {
         "claim": "summary",
         "body": corpus,
@@ -402,37 +341,19 @@ def _verify_all(args):
 
 
 def _cmd_mc_polytope(args):
-    body = _load_body(args.body)
-    index = _make_index(args, body.dim)
-    rule = _make_rule(args.rule, body.dim)
-    schedule = _parse_int_list(args.N, "--N")
-    try:
-        check = randpoly.interpretation_check(
-            body, p=args.p, index=index, n_schedule=schedule,
-            trials=args.trials, seed=args.seed, rule=rule,
-            allow_dim3=args.dim_3_ok)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    records = []
-    for est in check.estimates:
-        records.append({
-            "N": est.n_points,
-            "mean_deficit": est.mean,
-            "stderr": est.stderr,
-            "scaled": est.scaled_mean,
-            "scaled_stderr": est.scaled_stderr,
-            "target": check.target,
-            "ratio": est.scaled_mean / check.target,
-        })
-    records.append({
-        "N": "inf",
-        "mean_deficit": "",
-        "stderr": "",
-        "scaled": check.extrapolated,
-        "scaled_stderr": check.extrapolated_stderr,
-        "target": check.target,
-        "ratio": check.extrapolated / check.target,
-    })
+    body, index, rule = _body_index_rule(args)
+    check = randpoly.interpretation_check(
+        body, p=args.p, index=index, n_schedule=_parse_list(args.N, "--N", int),
+        trials=args.trials, seed=args.seed, rule=rule, allow_dim3=args.dim_3_ok)
+
+    def row(n, mean, stderr, scaled, scaled_stderr):
+        return {"N": n, "mean_deficit": mean, "stderr": stderr, "scaled": scaled,
+                "scaled_stderr": scaled_stderr, "target": check.target,
+                "ratio": scaled / check.target}
+
+    records = [row(e.n_points, e.mean, e.stderr, e.scaled_mean, e.scaled_stderr)
+               for e in check.estimates]
+    records.append(row("inf", "", "", check.extrapolated, check.extrapolated_stderr))
     _emit(records, args)
     return 0
 
@@ -560,18 +481,15 @@ def build_parser():
 
 
 def run(argv=None):
-    """Entry point with the documented exit-code contract."""
-    parser = build_parser()
+    """Entry point with the exit-code contract of the module docstring."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except SystemExit as exc:  # --help and --version
+        return exc.code
 
 
 def main():

@@ -822,7 +822,8 @@ def body_from_dict(spec, label=None):
 
     Recognized keys: dim (2 or 3), type ("ball" | "ellipsoid" |
     "perturbed_ball"), radius, matrix, semi_axes, rotation, mode, epsilon,
-    translate, label. Unknown keys other than "provenance" are rejected.
+    translate, label (a string). Unknown keys other than "provenance" are
+    rejected.
     The body is validated by building its default-rule curvature grid,
     which it keeps.
     """
@@ -834,14 +835,18 @@ def body_from_dict(spec, label=None):
     if extra:
         raise ValueError("unknown body spec keys: %s" % sorted(extra))
     try:
-        dim = int(spec["dim"])
+        dim = spec["dim"]
         kind = spec["type"]
     except KeyError as exc:
         raise ValueError("body spec is missing required key %s" % exc) from None
+    # 2.0 is 2, but 2.7 and "2" are not
     if dim not in (2, 3):
-        raise ValueError("body spec dim must be 2 or 3, got %r" % spec["dim"])
+        raise ValueError("body spec dim must be 2 or 3, got %r" % dim)
+    dim = int(dim)
     if label is None:
         label = spec.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError("body spec label must be a string, got %r" % (label,))
 
     if kind == "ball":
         body = make_ball(dim, float(spec.get("radius", 1.0)), label=label)

@@ -555,7 +555,8 @@ def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
     refused unless allow_dim3 is set.
     """
     if body.dim == 3 and not allow_dim3:
-        raise ValueError("dim-3 Monte Carlo is expensive; pass allow_dim3=True")
+        raise ValueError("dim-3 Monte Carlo is expensive; pass allow_dim3=True"
+                         " (--dim-3-ok on the command line)")
     sched = tuple(check_steps(n_schedule, 3, "N schedule", int))
     if min(sched) < body.dim + 1:
         raise ValueError("hulls need at least dim+1 points")

@@ -287,18 +287,36 @@ def test_divergence_matches_library(corpus_dir, capsys, name, gen, flags, call):
      "error: --i expects comma-separated integers, got '1,x'"),
     ("mc-polytope", ["--p", "1", "--N", "10,x", "--trials", "4", "--seed", "1"],
      "error: --N expects comma-separated integers, got '10,x'"),
+    # a library refusal, bare and with the sweep's p=... context
+    ("eval", ["--p", "-2"], "error: p = -2 is excluded (the exponents divide by n+p)\n"),
+    ("sweep", ["--p-grid", "1,-2"],
+     "error: p=-2: p = -2 is excluded (the exponents divide by n+p)\n"),
 ], ids=["eval-nan", "eval-neg-inf", "eval-neg-inf-spaced", "eval-neg-infinity-spaced",
         "eval-abc", "mc-polytope-nan", "monotone-inf", "limit-inf-inf", "limit-zero-inf",
         "limit-zero-0", "monotone-1e308", "monotone-1e17", "limit-inf-1e17",
         "p-grid-two-parts", "p-grid-steps-x", "p-grid-log-zero", "p-grid-list-a",
         "gen-kl-param", "gen-hellinger-bare", "gen-hellinger-abc", "p-schedule-a", "i-x",
-        "N-x"])
+        "N-x", "eval-p-minus-n", "sweep-p-minus-n"])
 def test_bad_p_exits_2(corpus_dir, capsys, command, flags, message):
     code, out, err = run_cli([command, "--body", str(corpus_dir / "ball2.json")] + flags,
                              capsys)
     assert code == 2
     assert message in err and err.count("\n") == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--body", "{d}/ball2.json", "--p", "1", "--out", "{t}/missing/x.json"],
+     "error: [Errno 2] No such file or directory: '%s'\n"),
+    (["corpus-gen", "{t}/file.json"], "error: [Errno 17] File exists: '%s'\n"),
+], ids=["out-missing-dir", "corpus-gen-on-a-file"])
+def test_os_error_exits_2(corpus_dir, tmp_path, capsys, argv, message):
+    # an OSError is bad input too: one error line and exit 2, no traceback
+    (tmp_path / "file.json").write_text("{}")
+    argv = [a.format(d=corpus_dir, t=tmp_path) for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", message % argv[-1])
+    assert not (tmp_path / "missing").exists()
 
 
 def test_eval_non_finite_k_exits_2(tmp_path, capsys):
@@ -333,9 +351,15 @@ def test_eval_non_finite_k_exits_2(tmp_path, capsys):
      "ellipsoid matrix must be symmetric"),
     ({"dim": 2, "type": "ellipsoid", "matrix": [[1, 2], [2, 1]]},
      "ellipsoid matrix must be positive definite"),
+    # dim is 2 or 3 as a number, never truncated or parsed; a label is a string
+    ({"dim": 2.7, "type": "ball"}, "body spec dim must be 2 or 3, got 2.7"),
+    ({"dim": "2", "type": "ball"}, "body spec dim must be 2 or 3, got '2'"),
+    ({"dim": "abc", "type": "ball"}, "body spec dim must be 2 or 3, got 'abc'"),
+    ({"dim": 2, "type": "ball", "label": 5}, "body spec label must be a string, got 5"),
 ], ids=["radius-nan", "radius-inf", "epsilon-nan", "semi-axis-nan", "mode-inf", "mode-nan",
         "not-an-object", "dim-4", "ellipsoid-no-form", "perturbed-no-epsilon",
-        "matrix-shape", "matrix-asymmetric", "matrix-indefinite"])
+        "matrix-shape", "matrix-asymmetric", "matrix-indefinite", "dim-2.7", "dim-string",
+        "dim-abc", "label-int"])
 def test_non_finite_body_file_exits_2(tmp_path, capsys, spec, message):
     # json writes NaN and Infinity, and json.load reads them back
     path = tmp_path / "bad.json"
@@ -549,6 +573,7 @@ def test_mc_polytope_dim3_gate(corpus_dir, capsys):
          "--N", "8,12,16", "--trials", "8", "--seed", "1"], capsys)
     assert code == 2
     assert "dim-3" in err
+    assert "--dim-3-ok" in err
     code, out, err = run_cli(
         ["mc-polytope", "--body", str(corpus_dir / "ball3.json"), "--p", "1",
          "--N", "8,12,16", "--trials", "8", "--seed", "1", "--dim-3-ok"], capsys)

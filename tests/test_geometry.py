@@ -698,3 +698,11 @@ def test_translated_body_keeps_only_its_own_grid(spec):
     # the unshifted ball validated itself, but only the shifted grid is read
     assert inner[0]._cache == {}
     assert set(body._cache) == {("grid", rule)}
+
+
+def test_body_spec_dim_may_be_a_whole_float():
+    # 2.0 is the number 2, as a mode of 3.0 is 3 (2.7 and "2" are refused:
+    # see test_cli.test_non_finite_body_file_exits_2)
+    body = cf.body_from_dict({"dim": 2.0, "type": "perturbed_ball", "mode": 3.0,
+                              "epsilon": 0.05, "label": "pdisk"})
+    assert (body.dim, type(body.dim), body.label) == (2, int, "pdisk")

@@ -253,7 +253,7 @@ _MC = ["--p", "1", "--N", "20,40,80", "--trials", "6", "--seed", "1"]
 
 
 def _cli_battery(tmp):
-    """(argv, --out file or None) pairs; "{c}" is the corpus directory."""
+    """The battery's argv lists, with "{c}" the corpus and "{t}" the temporary directory."""
     names = [p.name for p in sorted(Path(tmp, "corpus").glob("*.json"))]
 
     def body(name):
