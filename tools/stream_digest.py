@@ -284,6 +284,11 @@ def _cli_battery(tmp):
     for claim in ("holder3", "monotone", "limit-zero"):
         for fmt in _FMTS[1:]:
             runs.append(["verify", claim, fmt] + ellipse)
+    # a flag the claim does not read is ignored, parsed or not
+    for flags in (["petty", "--p-grid", "garbage"], ["holder3", "--p-schedule", "x"],
+                  ["petty", "--r", "3"], ["holdervol", "--p", "2"],
+                  ["limit-inf", "--p-grid", "1,2"], ["monotone", "--p-schedule", "1,a"]):
+        runs.append(["verify"] + flags + ellipse)
     runs += [
         ["eval", "--p", "2", "--m", "2", "--k", "1.5", "--i", "2"] + disk,
         ["eval", "--p", "1", "--json", "--out", "{t}/out.json"] + disk,
