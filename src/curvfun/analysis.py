@@ -42,7 +42,9 @@ __all__ = [
     "monotonicity_scan",
     "limit_p_infinity",
     "limit_p_zero",
+    "CLAIMS",
     "default_suite_grids",
+    "suite_claims",
     "run_verification_suite",
 ]
 
@@ -399,6 +401,27 @@ def limit_p_zero(body, index, rule=None, p_schedule=_LIMIT_ZERO_SCHEDULE):
 # the standard verification battery
 
 
+# claim name -> its report on (body, index, rule, **params), in the suite's
+# order; the keyword defaults are the single-claim defaults of `curvfun
+# verify`, whose flags --p, --r, --s, --t, --p-grid and --p-schedule set the
+# keywords of the same names (kinterp's k slot is t)
+CLAIMS = {
+    "petty": lambda body, index, rule: verify_petty(body, rule),
+    "holder3": lambda body, index, rule, *, r=1.0, s=0.0, t=4.0:
+        verify_holder_three(body, index, r, s, t, rule),
+    "holdervol": lambda body, index, rule, *, r=1.0, t=4.0:
+        verify_holder_volume(body, index, r, t, rule),
+    "kinterp": lambda body, index, rule, *, p=1.0, r=0.0, s=1.0, t=2.0:
+        verify_k_interpolation(body, index.m, index.i, p, r, s, t, rule),
+    "monotone": lambda body, index, rule, *, p_grid=_MONOTONE_GRID:
+        monotonicity_scan(body, index, p_grid, rule),
+    "limit-inf": lambda body, index, rule, *, p_schedule=_LIMIT_INF_SCHEDULE:
+        limit_p_infinity(body, index, rule, p_schedule),
+    "limit-zero": lambda body, index, rule, *, p_schedule=_LIMIT_ZERO_SCHEDULE:
+        limit_p_zero(body, index, rule, p_schedule),
+}
+
+
 def default_suite_grids(dim):
     """Parameter grids used by the standard verification suite."""
     if dim == 2:
@@ -422,28 +445,28 @@ def default_suite_grids(dim):
     }
 
 
-def _suite_claims(bodies, rules):
-    """Yield the claims as thunks in a fixed deterministic order."""
+def suite_claims(bodies, rules):
+    """Yield the battery as (claim name, thunk) pairs in a fixed order.
+
+    Per body (on rules[body.dim]): petty; per suite index, the holder3,
+    holdervol and kinterp cases of default_suite_grids and monotone; then
+    limit-inf and, on bodies with a polar oracle, limit-zero, both on the
+    zero index.
+    """
     for body in bodies:
-        rule = rules[body.dim]
-        grids = default_suite_grids(body.dim)
-
-        yield partial(verify_petty, body, rule)
-        for index in grids["indices"]:
-            for (r, s, t) in grids["holder3"]:
-                yield partial(verify_holder_three, body, index, r, s, t, rule)
-            for (r, t) in grids["holdervol"]:
-                yield partial(verify_holder_volume, body, index, r, t, rule)
-            for (r, s, k) in grids["kinterp_triples"]:
-                for p in grids["kinterp_p"]:
-                    yield partial(verify_k_interpolation,
-                                  body, index.m, index.i, p, r, s, k, rule)
-            yield partial(monotonicity_scan, body, index, rule=rule)
-
-        zero = _ZERO_INDEX[body.dim]
-        yield partial(limit_p_infinity, body, zero, rule)
+        g, zero = default_suite_grids(body.dim), _ZERO_INDEX[body.dim]
+        cases = [("petty", zero, {})]
+        for index in g["indices"]:
+            cases += [("holder3", index, {"r": r, "s": s, "t": t}) for r, s, t in g["holder3"]]
+            cases += [("holdervol", index, {"r": r, "t": t}) for r, t in g["holdervol"]]
+            cases += [("kinterp", index, {"p": p, "r": r, "s": s, "t": k})
+                      for r, s, k in g["kinterp_triples"] for p in g["kinterp_p"]]
+            cases.append(("monotone", index, {"p_grid": g["monotone_grid"]}))
+        cases.append(("limit-inf", zero, {"p_schedule": g["limit_inf_schedule"]}))
         if body._polar is not None:
-            yield partial(limit_p_zero, body, zero, rule)
+            cases.append(("limit-zero", zero, {"p_schedule": g["limit_zero_schedule"]}))
+        for name, index, params in cases:
+            yield name, partial(CLAIMS[name], body, index, rules[body.dim], **params)
 
 
 def run_verification_suite(bodies, rule2=None, rule3=None):
@@ -453,4 +476,4 @@ def run_verification_suite(bodies, rule2=None, rule3=None):
     deterministic.
     """
     rules = {2: rule2 or default_rule(2), 3: rule3 or default_rule(3)}
-    return [claim() for claim in _suite_claims(bodies, rules)]
+    return [claim() for _, claim in suite_claims(bodies, rules)]

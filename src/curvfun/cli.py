@@ -280,33 +280,10 @@ def _emit_reports(reports, args, summary=None):
     _emit(records, args, columns=_VERIFY_COLS)
 
 
-def _p_grid(args):
-    # an absent --p-grid or --p-schedule leaves the claim's own default
-    return {"p_grid": _parse_p_grid(args.p_grid)} if args.p_grid else {}
-
-
-def _p_schedule(args):
-    if not args.p_schedule:
-        return {}
-    return {"p_schedule": _parse_list(args.p_schedule, "--p-schedule", float)}
-
-
-# claim name -> its library call; the keys are verify's claim choices
-_CLAIMS = {
-    "holder3": lambda body, index, rule, a: analysis.verify_holder_three(
-        body, index, a.r, a.s, a.t, rule),
-    "holdervol": lambda body, index, rule, a: analysis.verify_holder_volume(
-        body, index, a.r, a.t, rule),
-    "kinterp": lambda body, index, rule, a: analysis.verify_k_interpolation(
-        body, index.m, index.i, a.p, a.r, a.s, a.t, rule),
-    "monotone": lambda body, index, rule, a: analysis.monotonicity_scan(
-        body, index, rule=rule, **_p_grid(a)),
-    "petty": lambda body, index, rule, a: analysis.verify_petty(body, rule),
-    "limit-inf": lambda body, index, rule, a: analysis.limit_p_infinity(
-        body, index, rule, **_p_schedule(a)),
-    "limit-zero": lambda body, index, rule, a: analysis.limit_p_zero(
-        body, index, rule, **_p_schedule(a)),
-}
+# verify's claim flags by keyword, each with its reader; the others arrive as
+# floats
+_CLAIM_FLAGS = {"p": float, "r": float, "s": float, "t": float, "p_grid": _parse_p_grid,
+                "p_schedule": lambda spec: _parse_list(spec, "--p-schedule", float)}
 
 
 def _cmd_verify(args):
@@ -314,7 +291,13 @@ def _cmd_verify(args):
         return _verify_all(args)
     if not args.body:
         raise ValueError("verify %s needs --body" % args.claim)
-    rep = _CLAIMS[args.claim](*_body_index_rule(args), args)
+    body, index, rule = _body_index_rule(args)
+    claim = analysis.CLAIMS[args.claim]
+    # only the flags the claim reads are parsed; an absent or empty one keeps
+    # the claim's default
+    params = {name: _CLAIM_FLAGS[name](getattr(args, name))
+              for name in claim.__kwdefaults__ or () if getattr(args, name) not in (None, "")}
+    rep = claim(body, index, rule, **params)
     _emit_reports([rep], args)
     return _verify_exit([rep])
 
@@ -442,14 +425,14 @@ def build_parser():
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("verify", help="machine-verify one claim or the full suite")
-    p.add_argument("claim", choices=[*_CLAIMS, "all"])
+    p.add_argument("claim", choices=[*analysis.CLAIMS, "all"])
     p.add_argument("--body", metavar="F", help="body file (single claims)")
     p.add_argument("--corpus", metavar="DIR", help="body directory (verify all)")
     _add_index_flags(p)
-    p.add_argument("--p", type=float, default=1.0, help="exponent p (kinterp)")
-    p.add_argument("--r", type=float, default=1.0, help="first exponent/k-slot value")
-    p.add_argument("--s", type=float, default=0.0, help="middle exponent/k-slot value")
-    p.add_argument("--t", type=float, default=4.0, help="last exponent/k-slot value")
+    for flag, text in (("p", "exponent p (kinterp)"), ("r", "first exponent/k-slot value"),
+                       ("s", "middle exponent/k-slot value"),
+                       ("t", "last exponent/k-slot value")):
+        p.add_argument("--" + flag, type=float, help=text + "; its default depends on the claim")
     p.add_argument("--p-grid", metavar="GRID", help="grid for monotone")
     p.add_argument("--p-schedule", metavar="LIST", help="schedule for the limit claims")
     _add_rule_flag(p)

@@ -283,6 +283,10 @@ def test_run_verification_suite(ball2, ellipse21, pball05):
     verdicts = {r.verdict for r in reports}
     assert "violated" not in verdicts
     assert "hypothesis_violated" not in verdicts
+    # the public suite_claims names the suite's claims in its order
+    rules = {2: cf.default_rule(2), 3: cf.default_rule(3)}
+    names = [name for name, _ in cf.suite_claims([ball2, ellipse21, pball05], rules)]
+    assert names == [r.claim for r in reports]
     # a second run is served from the bodies' caches and must not differ
     again = cf.run_verification_suite([ball2, ellipse21, pball05])
     a = [r.to_record() for r in reports]

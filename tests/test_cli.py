@@ -417,6 +417,7 @@ _Z2 = cf.WeightIndex.zero(2)
     ("holdervol", [], lambda b: cf.verify_holder_volume(b, _Z2, 1.0, 4.0)),
     ("kinterp", ["--r", "0", "--s", "1", "--t", "2"],
      lambda b: cf.verify_k_interpolation(b, 0, (0,), 1.0, 0.0, 1.0, 2.0)),
+    ("kinterp", [], lambda b: cf.verify_k_interpolation(b, 0, (0,), 1.0, 0.0, 1.0, 2.0)),
     ("monotone", [], lambda b: cf.monotonicity_scan(b, _Z2)),
     ("monotone", ["--p-grid", "0.5,1,2,4"],
      lambda b: cf.monotonicity_scan(b, _Z2, [0.5, 1.0, 2.0, 4.0])),
@@ -425,8 +426,8 @@ _Z2 = cf.WeightIndex.zero(2)
     ("limit-zero", [], lambda b: cf.limit_p_zero(b, _Z2)),
     ("limit-zero", ["--p-schedule", "0.2,0.05,0.02"],
      lambda b: cf.limit_p_zero(b, _Z2, p_schedule=[0.2, 0.05, 0.02])),
-], ids=["holder3", "holdervol", "kinterp", "monotone", "monotone-p-grid", "petty",
-        "limit-inf", "limit-zero", "limit-zero-p-schedule"])
+], ids=["holder3", "holdervol", "kinterp", "kinterp-defaults", "monotone", "monotone-p-grid",
+        "petty", "limit-inf", "limit-zero", "limit-zero-p-schedule"])
 def test_verify_claim_matches_library(corpus_dir, capsys, claim, flags, call):
     # a single-claim record is the library call's, defaults included
     path = corpus_dir / "ellipse_2_1.json"
