@@ -280,8 +280,8 @@ def _emit_reports(reports, args, summary=None):
     _emit(records, args, columns=_VERIFY_COLS)
 
 
-# verify's claim flags by keyword, each with its reader; the others arrive as
-# floats
+# verify's claim flags by the CLAIMS keyword they set, each with its reader
+# (--p, --r, --s and --t arrive as floats)
 _CLAIM_FLAGS = {"p": float, "r": float, "s": float, "t": float, "p_grid": _parse_p_grid,
                 "p_schedule": lambda spec: _parse_list(spec, "--p-schedule", float)}
 
@@ -429,10 +429,10 @@ def build_parser():
     p.add_argument("--body", metavar="F", help="body file (single claims)")
     p.add_argument("--corpus", metavar="DIR", help="body directory (verify all)")
     _add_index_flags(p)
-    for flag, text in (("p", "exponent p (kinterp)"), ("r", "first exponent/k-slot value"),
-                       ("s", "middle exponent/k-slot value"),
-                       ("t", "last exponent/k-slot value")):
-        p.add_argument("--" + flag, type=float, help=text + "; its default depends on the claim")
+    p.add_argument("--p", type=float, help="exponent p (kinterp); default per claim")
+    p.add_argument("--r", type=float, help="first exponent/k-slot value; default per claim")
+    p.add_argument("--s", type=float, help="middle exponent/k-slot value; default per claim")
+    p.add_argument("--t", type=float, help="last exponent/k-slot value; default per claim")
     p.add_argument("--p-grid", metavar="GRID", help="grid for monotone")
     p.add_argument("--p-schedule", metavar="LIST", help="schedule for the limit claims")
     _add_rule_flag(p)
