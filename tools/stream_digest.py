@@ -51,6 +51,12 @@ Each digest is over exact float64 bits (float.hex):
   ``<tmp>``.  An unwritable ``--out`` path, ``corpus-gen`` on an existing
   file and the dim-3 Monte Carlo refusal are left out: their exits and
   messages are pinned by the tests instead.
+* ``transforms``: the default-rule grid's ``h`` and ``s``, ``asa`` (p = 1)
+  and ``body_volume`` of the 2:1 ellipse rotated by 0.4, the eps = 0.1
+  perturbed disk scaled by 1.3, the 2:1:1 ellipsoid under a rotation in
+  space and the ``from_support`` body of the 2:1 ellipse's support
+  function; then ``expected_deficit`` means (p = 1, N = 250 and 500, 8
+  trials, fixed seeds) on the two planar transforms.
 
 Run it on two checkouts and compare the output:
 
@@ -144,8 +150,7 @@ _FILES = {
 }
 
 
-def _load_record(path):
-    body = cf.load_body(path)
+def _record(body):
     grid = cf.curvature_grid(body)
     return [[v.hex() for v in grid.h.tolist()],
             [v.hex() for v in grid.s.ravel().tolist()],
@@ -154,7 +159,8 @@ def _load_record(path):
 
 def _loaded():
     with tempfile.TemporaryDirectory() as tmp:
-        return {path.stem: _load_record(path) for path in map(Path, cli.corpus_gen(tmp))}
+        paths = map(Path, cli.corpus_gen(tmp))
+        return {path.stem: _record(cf.load_body(path)) for path in paths}
 
 
 def _files():
@@ -163,7 +169,7 @@ def _files():
         for name, spec in _FILES.items():
             path = Path(tmp) / (name + ".json")
             path.write_text(json.dumps(spec))
-            out[name] = _load_record(path)
+            out[name] = _record(cf.load_body(path))
         return out
 
 
@@ -245,6 +251,31 @@ def _samples(bodies):
     disk = cf.boundary_density(bodies[0], p=1.0)
     for n in (2, 3, 4):
         out["deficit|%d" % n] = cf.expected_deficit(disk, n, trials=16, seed=n).mean.hex()
+    return out
+
+
+def _transformed():
+    c, s = math.cos(0.4), math.sin(0.4)
+    ca, sa, cb, sb = math.cos(0.7), math.sin(0.7), math.cos(1.1), math.sin(1.1)
+    spin = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    tilt = np.array([[1.0, 0.0, 0.0], [0.0, cb, -sb], [0.0, sb, cb]])
+    ellipse = cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 1.0]))
+    return [
+        cf.transform(ellipse, [[c, -s], [s, c]]),
+        cf.transform(cf.make_perturbed_ball(2, mode=3, eps=0.1), 1.3),
+        cf.transform(_spatial()[0], spin @ tilt),
+        cf.from_support(ellipse.support, 2),
+    ]
+
+
+def _transforms():
+    bodies = _transformed()
+    out = {body.label: _record(body) + [cf.body_volume(body).hex()] for body in bodies}
+    for seed, body in enumerate(bodies[:2]):
+        density = cf.boundary_density(body, p=1.0)
+        for n in (250, 500):
+            est = cf.expected_deficit(density, n, trials=8, seed=(seed, n))
+            out["%s|%d" % (body.label, n)] = est.mean.hex()
     return out
 
 
@@ -423,6 +454,7 @@ def main():
     print("%-12s %s" % ("verify", _digest(_verify())))
     print("%-12s %s" % ("samples", _digest(_samples(_bodies() + _spatial()))))
     print("%-12s %s" % ("cli", _digest(_cli())))
+    print("%-12s %s" % ("transforms", _digest(_transforms())))
 
 
 if __name__ == "__main__":
