@@ -23,7 +23,8 @@ import numpy as np
 
 from ._extrap import check_steps, neville_to_zero
 from .divergence import kl_divergence
-from .functionals import WeightIndex, _ZERO_INDEX, asa_exponents, weighted_asa, _validate_p
+from .functionals import (WeightIndex, _ZERO_INDEX, _quotient, _validate_p, asa_exponents,
+                          weighted_asa)
 from .geometry import _cached, curvature_grid, polar_body
 from .quadrature import default_rule
 
@@ -161,15 +162,6 @@ def _report(claim, body, rule, params, lhs=None, rhs=None, slack=None,
 
 def _omega(body, index, p, rule):
     return weighted_asa(body, index, p, rule).value
-
-
-def _quotient(a, b, c, d):
-    # a*b / (c*d), divided first only where a product overflows (exponents
-    # above about 1e154), so every finite case keeps its bits
-    num, den = a * b, c * d
-    if math.isfinite(num) and math.isfinite(den):
-        return num / den
-    return (a / c) * (b / d)
 
 
 def _holder_gate(claim, body, rule, params, r, s, t):

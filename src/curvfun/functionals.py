@@ -98,8 +98,8 @@ class WeightIndex:
         return out
 
     @classmethod
-    def zero(cls, dim, k=0.0):
-        return cls(0, k, (0,) * (dim - 1))
+    def zero(cls, dim):
+        return cls(0, 0.0, (0,) * (dim - 1))
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,17 @@ def asa_exponents(dim, p):
     p = _validate_p(dim, p)
     if p == math.inf:
         return 1.0, float(dim)
-    return p / (dim + p), _ratio(dim, p - 1.0, dim + p)
+    return p / (dim + p), _quotient(dim, p - 1.0, 1.0, dim + p)
 
 
-def _ratio(n, a, b):
-    # n * a / b, divided first only where n * a overflows (|p| near 1e308),
-    # so every finite value keeps its bits
-    out = n * a / b
-    return out if math.isfinite(out) else n * (a / b)
+def _quotient(a, b, c, d):
+    # a*b / (c*d), divided first only where a product overflows (|p| near
+    # 1e308 in the exponents above, Hoelder exponents above about 1e154),
+    # so every finite case keeps its bits
+    num, den = a * b, c * d
+    if math.isfinite(num) and math.isfinite(den):
+        return num / den
+    return (a / c) * (b / d)
 
 
 def _check_index(body, index):
@@ -264,7 +267,7 @@ def homogeneity_degree(dim, p, k):
     p = _validate_p(dim, p)
     if p == math.inf:
         return -float(dim) - k
-    return _ratio(dim, dim - p, dim + p) - k
+    return _quotient(dim, dim - p, 1.0, dim + p) - k
 
 
 def lutwak_density(body, p, u):

@@ -79,6 +79,9 @@ class SupportBody:
 
     The three oracles accept arrays of shape (..., dim) of unit vectors:
         support -> (...,), gradient -> (..., dim), hessian -> (..., dim, dim).
+    Each oracle receives its directions as a float array: the body converts
+    them once, so lists and integer arrays are accepted and a float array
+    passes through as itself.
     A planar body may also give support_radius -> (h, r), support's values
     bit for bit and the radius of curvature h + h'' (the hessian's
     tangential form) in closed form, or None.  The sampler's target uses it.
@@ -130,10 +133,10 @@ class SupportBody:
         if support_radius is not None and dim != 2:
             raise ValueError("a radius oracle is only defined in dimension 2")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "gradient", gradient)
-        object.__setattr__(self, "hessian", hessian)
-        object.__setattr__(self, "support_radius", support_radius)
+        object.__setattr__(self, "support", _float_input(support))
+        object.__setattr__(self, "gradient", _float_input(gradient))
+        object.__setattr__(self, "hessian", _float_input(hessian))
+        object.__setattr__(self, "support_radius", _float_input(support_radius))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "_polar", polar)
         object.__setattr__(self, "_cache", {})
@@ -143,6 +146,11 @@ class SupportBody:
 
     def __repr__(self):
         return "SupportBody(dim=%d, label=%r)" % (self.dim, self.label)
+
+
+def _float_input(oracle):
+    # the one place where an oracle's input becomes a float array
+    return oracle and (lambda U: oracle(np.asarray(U, dtype=float)))
 
 
 _MISSING = object()
@@ -202,15 +210,13 @@ def make_ball(dim, radius=1.0, label=None):
     eye = np.eye(dim)
 
     def support(U):
-        U = np.asarray(U, dtype=float)
         return np.full(U.shape[:-1], r)
 
     def gradient(U):
-        return r * np.asarray(U, dtype=float)
+        return r * U
 
     def hessian(U):
         # r * (eye - u u^T), in one array
-        U = np.asarray(U, dtype=float)
         out = U[..., :, None] * U[..., None, :]
         np.subtract(eye, out, out=out)
         out *= r
@@ -263,17 +269,14 @@ def make_ellipsoid(dim, matrix, label=None):
     m.setflags(write=False)
 
     def support(U):
-        U = np.asarray(U, dtype=float)
         return np.sqrt(np.einsum("...i,ij,...j->...", U, m, U))
 
     def gradient(U):
-        U = np.asarray(U, dtype=float)
         mu = np.einsum("ij,...j->...i", m, U)
         h = np.sqrt(np.einsum("...i,...i->...", U, mu))
         return mu / h[..., None]
 
     def hessian(U):
-        U = np.asarray(U, dtype=float)
         mu = np.einsum("ij,...j->...i", m, U)
         h = np.sqrt(np.einsum("...i,...i->...", U, mu))
         # (m - mu mu^T / h^2) / h, in one array
@@ -291,14 +294,12 @@ def make_ellipsoid(dim, matrix, label=None):
         def support(U):
             # u^T M u summed in einsum's term order: the same bits on three
             # or more rows (einsum pairs the terms below that), and faster
-            U = np.asarray(U, dtype=float)
             u0, u1 = U[..., 0], U[..., 1]
             return np.sqrt(u0 * m00 * u0 + u0 * m01 * u1 + u1 * m10 * u0 + u1 * m11 * u1)
 
         def gradient(U):
             # M u and u . M u as two-term sums: the same bits as the einsum
             # form above, whose sums have two terms too
-            U = np.asarray(U, dtype=float)
             u0, u1 = U[..., 0], U[..., 1]
             mu0 = m00 * u0 + m01 * u1
             mu1 = m10 * u0 + m11 * u1
@@ -386,14 +387,12 @@ def _perturbed_disk(mode, eps, label):
     L = mode
 
     def _theta(U):
-        U = np.asarray(U, dtype=float)
         return np.arctan2(U[..., 1], U[..., 0])
 
     def support(U):
         return 1.0 + eps * np.cos(L * _theta(U))
 
     def gradient(U):
-        U = np.asarray(U, dtype=float)
         th = _theta(U)
         h = 1.0 + eps * np.cos(L * th)
         hp = -eps * L * np.sin(L * th)
@@ -405,7 +404,6 @@ def _perturbed_disk(mode, eps, label):
         return 1.0 + eps * c, 1.0 + eps * (1.0 - L * L) * c  # (h, h + h'')
 
     def hessian(U):
-        U = np.asarray(U, dtype=float)
         r = support_radius(U)[1]
         tang = np.stack([-U[..., 1], U[..., 0]], axis=-1)
         return r[..., None, None] * (tang[..., :, None] * tang[..., None, :])
@@ -421,14 +419,12 @@ def _perturbed_ball3(eps, label):
     eye = np.eye(3)
 
     def support(U):
-        return 1.0 + eps * P(np.asarray(U, dtype=float))
+        return 1.0 + eps * P(U)
 
     def gradient(U):
-        U = np.asarray(U, dtype=float)
         return U + eps * (gradP(U) + a * P(U)[..., None] * U)
 
     def hessian(U):
-        U = np.asarray(U, dtype=float)
         uu = U[..., :, None] * U[..., None, :]
         gp = gradP(U)
         sym = gp[..., :, None] * U[..., None, :] + U[..., :, None] * gp[..., None, :]
@@ -448,18 +444,17 @@ def support_extension(body, Z):
     return norm * body.support(Z / norm[..., None])
 
 
-def from_support(fn, dim, step=1e-5, label="fd-body"):
+def from_support(fn, dim, label="fd-body"):
     """Finite-difference body from a bare support function (experimental).
 
     Derivatives of the 1-homogeneous extension are taken by central
-    differences with one Richardson extrapolation level at the given step.
-    Useful for quick experiments; analytic constructors are what the
-    verification paths rely on.
+    differences with one Richardson extrapolation level, at steps 1e-5 and
+    5e-6.  Useful for quick experiments; analytic constructors are what
+    the verification paths rely on.
 
     Args:
         fn: vectorized support function on (..., dim) unit vectors.
         dim: 2 or 3.
-        step: base finite-difference step.
     """
     probe = SupportBody(dim, fn, None, None, label)
 
@@ -475,8 +470,7 @@ def from_support(fn, dim, step=1e-5, label="fd-body"):
         return out
 
     def gradient(U):
-        U = np.asarray(U, dtype=float)
-        return (4.0 * _grad_once(U, step / 2.0) - _grad_once(U, step)) / 3.0
+        return (4.0 * _grad_once(U, 5e-6) - _grad_once(U, 1e-5)) / 3.0
 
     def _hess_once(U, d):
         out = np.empty(U.shape + (dim,))
@@ -495,8 +489,7 @@ def from_support(fn, dim, step=1e-5, label="fd-body"):
         return out
 
     def hessian(U):
-        U = np.asarray(U, dtype=float)
-        return (4.0 * _hess_once(U, step / 2.0) - _hess_once(U, step)) / 3.0
+        return (4.0 * _hess_once(U, 5e-6) - _hess_once(U, 1e-5)) / 3.0
 
     return SupportBody(dim, fn, gradient, hessian, label)
 
@@ -717,14 +710,12 @@ def recenter(body, c):
         raise ValueError("center shape %s does not match dim %d" % (c.shape, body.dim))
 
     def support(U):
-        U = np.asarray(U, dtype=float)
         return body.support(U) - U @ c
 
     def gradient(U):
         return body.gradient(U) - c
 
     def support_radius(U):
-        U = np.asarray(U, dtype=float)
         h, r = body.support_radius(U)
         return h - U @ c, r
 
@@ -771,20 +762,17 @@ def transform(body, arg):
         label, polar_arg = "%s@rot" % body.label, q
 
         def support(U):
-            U = np.asarray(U, dtype=float)
             return body.support(U @ q)  # U @ q has rows Q^T u
 
         def gradient(U):
-            U = np.asarray(U, dtype=float)
             return body.gradient(U @ q) @ q.T
 
         def hessian(U):
-            U = np.asarray(U, dtype=float)
             hin = body.hessian(U @ q)
             return np.einsum("ij,...jk,lk->...il", q, hin, q)
 
         def support_radius(U):
-            return body.support_radius(np.asarray(U, dtype=float) @ q)
+            return body.support_radius(U @ q)
 
     polar = None
     if body._polar is not None:
@@ -817,7 +805,7 @@ def polar_body(body):
 # body specification files
 
 
-def body_from_dict(spec, label=None):
+def body_from_dict(spec):
     """Construct a body from a JSON-style dict.
 
     Recognized keys: dim (2 or 3), type ("ball" | "ellipsoid" |
@@ -843,8 +831,7 @@ def body_from_dict(spec, label=None):
     if dim not in (2, 3):
         raise ValueError("body spec dim must be 2 or 3, got %r" % dim)
     dim = int(dim)
-    if label is None:
-        label = spec.get("label")
+    label = spec.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("body spec label must be a string, got %r" % (label,))
 

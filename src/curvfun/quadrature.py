@@ -139,7 +139,7 @@ def parse_rule_spec(spec, dim):
 
 
 def integrate(rule, integrand):
-    """Integrate per-node values (or a callable on the nodes) against the rule.
+    """Integrate per-node values against the rule.
 
     Returns the correctly rounded sum of the weighted values (the same bits
     as math.fsum, found by error-free extraction), so the result is
@@ -147,17 +147,13 @@ def integrate(rule, integrand):
 
     Args:
         rule: SphereRule.
-        integrand: (N,) array of values at rule.nodes, or a callable mapping
-            the (N, dim) node array to such values.
+        integrand: (N,) array of values at rule.nodes.
 
     Raises:
         ValueError: if any integrand value is not finite (the offending node
             index and direction are reported).
     """
-    if callable(integrand):
-        values = np.asarray(integrand(rule.nodes), dtype=float)
-    else:
-        values = np.asarray(integrand, dtype=float)
+    values = np.asarray(integrand, dtype=float)
     if values.shape != (len(rule),):
         raise ValueError(
             "integrand shape %s does not match rule with %d nodes" % (values.shape, len(rule))

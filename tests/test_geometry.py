@@ -240,6 +240,40 @@ def test_ellipse_gradient_matches_einsum(shape, rng):
         assert np.array_equal(body.gradient(U), mu / h[..., None])
 
 
+_ORACLE_BODIES = {
+    "ball2": lambda: cf.make_ball(2),
+    "ball3": lambda: cf.make_ball(3),
+    "ellipse": lambda: cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 1.0])),
+    "ellipsoid": lambda: cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 0.5])),
+    "pert2": lambda: cf.make_perturbed_ball(2, mode=3, eps=0.1),
+    "pert3": lambda: cf.make_perturbed_ball(3, mode=3, eps=0.05),
+    "from_support": lambda: cf.from_support(
+        cf.make_ellipsoid(2, cf.ellipsoid_matrix([2.0, 1.0])).support, 2),
+    "scaled": lambda: cf.transform(cf.make_perturbed_ball(2, mode=3, eps=0.1), 1.3),
+    "rotation": lambda: cf.transform(
+        cf.make_ellipsoid(2, cf.ellipsoid_matrix([3.0, 1.0])), _rotation(0.4)),
+    "rotation3": lambda: cf.transform(
+        cf.make_ellipsoid(3, cf.ellipsoid_matrix([2.0, 1.0, 0.5])),
+        [[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]]),
+    "recenter": lambda: cf.recenter(
+        cf.make_ellipsoid(2, cf.ellipsoid_matrix([1.5, 0.8])), [0.2, -0.3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_BODIES))
+def test_oracles_take_lists_and_integer_arrays(name):
+    body = _ORACLE_BODIES[name]()
+    rows = np.eye(body.dim, dtype=int)
+    rows = np.concatenate([rows, -rows])
+    oracles = [body.support, body.gradient, body.hessian]
+    if body.support_radius is not None:
+        oracles.append(lambda U: np.stack(body.support_radius(U)))
+    for oracle in oracles:
+        want = oracle(rows.astype(float))
+        for U in (rows, rows.tolist()):
+            assert np.array_equal(oracle(U), want)
+
+
 def test_centroid_and_recenter(ball2):
     assert np.max(np.abs(cf.centroid(ball2))) < 1e-14
     c = np.array([0.1, -0.2])
@@ -692,7 +726,9 @@ def test_load_then_integral_computes_the_core(tmp_path, monkeypatch, spec, cores
 def test_translated_body_keeps_only_its_own_grid(spec):
     body = cf.body_from_dict(spec)
     rule = cf.default_rule(spec["dim"])
-    inner = [cell.cell_contents for cell in body.support.__closure__
+    # body.support converts its input, then calls the shifted oracle
+    (oracle,) = [cell.cell_contents for cell in body.support.__closure__]
+    inner = [cell.cell_contents for cell in oracle.__closure__
              if isinstance(cell.cell_contents, cf.SupportBody)]
     assert len(inner) == 1 and inner[0] is not body
     # the unshifted ball validated itself, but only the shifted grid is read
