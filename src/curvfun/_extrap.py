@@ -2,15 +2,14 @@
 
 import math
 
-__all__ = ["check_steps", "neville_to_zero", "neville_weights"]
+__all__ = ["check_steps", "check_whole", "neville_to_zero", "neville_weights"]
 
 
-def check_steps(values, minimum, name, cast=float):
+def check_steps(values, minimum, name):
     """The schedule rule: at least `minimum` finite, pairwise distinct entries.
 
     Every p grid, p schedule, N schedule and Neville step list passes it.
-    Entries are read as floats, then cast (int for sample sizes) before the
-    repeat test; the cast entries are returned in the given order, and a
+    Entries are read as floats and returned in the given order, and a
     ValueError names the list by `name`.
     """
     vals = [float(v) for v in values]
@@ -19,10 +18,24 @@ def check_steps(values, minimum, name, cast=float):
     for v in vals:
         if not math.isfinite(v):
             raise ValueError("%s entries must be finite, got %r" % (name, v))
-    vals = [cast(v) for v in vals]
     if len(set(vals)) != len(vals):
         raise ValueError("%s entries must be distinct" % name)
     return vals
+
+
+def check_whole(value, name):
+    """The whole-number rule for sample sizes, trial counts and seeds.
+
+    An integer, a numpy integer or a float with an integral value (2.0) is
+    returned as an int; anything else (2.5, nan, "2") raises a ValueError
+    that names the argument by `name`.
+    """
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("%s must be a whole number, got %r" % (name, value))
 
 
 def neville_to_zero(xs, ys):

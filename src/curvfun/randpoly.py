@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._extrap import check_steps, neville_to_zero, neville_weights
+from ._extrap import check_steps, check_whole, neville_to_zero, neville_weights
 from .functionals import (WeightIndex, _ZERO_INDEX, _check_index, _power, _validate_p,
                           asa_exponents, weighted_asa)
 from .geometry import _cached, _check_positive, _curvature_core, body_volume, curvature_grid
@@ -386,7 +386,7 @@ def sample_boundary(density, count, seed=None, return_stats=False):
 
     seed: int, sequence of ints, or an existing numpy Generator.
     """
-    count = int(count)
+    count = check_whole(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -490,11 +490,10 @@ def expected_deficit(density, n_points, trials=256, seed=0):
     the mean times n_points^(2/(n-1)), the quantity with a finite limit.
     Every trial is hull_volume(sample_boundary(density, n_points, seed=rng)).
     """
-    n_points = int(n_points)
-    trials = int(trials)
+    n_points, trials = check_whole(n_points, "n_points"), check_whole(trials, "trials")
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")
-    base = (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
+    base = tuple(check_whole(v, "seed") for v in ((seed,) if np.isscalar(seed) else seed))
     vol = body_volume(density.body, density.rule)
     deficits = []
     degenerate = 0
@@ -557,12 +556,14 @@ def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
     if body.dim == 3 and not allow_dim3:
         raise ValueError("dim-3 Monte Carlo is expensive; pass allow_dim3=True"
                          " (--dim-3-ok on the command line)")
-    sched = tuple(check_steps(n_schedule, 3, "N schedule", int))
+    sched = tuple(check_whole(v, "N schedule entry")
+                  for v in check_steps(n_schedule, 3, "N schedule"))
+    trials, seed = check_whole(trials, "trials"), check_whole(seed, "seed")
     if min(sched) < body.dim + 1:
         raise ValueError("hulls need at least dim+1 points")
     density = boundary_density(body, index=index, p=p, rule=rule)
     estimates = tuple(
-        expected_deficit(density, nn, trials=trials, seed=(int(seed), nn))
+        expected_deficit(density, nn, trials=trials, seed=(seed, nn))
         for nn in sched)
     expo = 2.0 / (body.dim - 1.0)
     xs = [nn ** -expo for nn in sched]
@@ -576,7 +577,7 @@ def interpretation_check(body, p=1.0, index=None, n_schedule=(250, 500, 1000),
     rel = abs(extrapolated - target) / abs(target)
     return MCInterpretation(body_label=body.label, p=density.p,
                             index=density.index, n_schedule=sched,
-                            trials=int(trials), seed=int(seed),
+                            trials=trials, seed=seed,
                             estimates=estimates, extrapolated=extrapolated,
                             extrapolated_stderr=extrapolated_stderr,
                             target=target, rel_error=rel, constant=cn,

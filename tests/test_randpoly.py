@@ -552,10 +552,11 @@ def test_interpretation_check_schedule_validation(ball2):
         cf.interpretation_check(ball2, n_schedule=(100, 200), trials=16, seed=0)
     with pytest.raises(ValueError):
         cf.interpretation_check(ball2, n_schedule=(2, 100, 200), trials=16, seed=0)
-    # sizes are read as integers, so 100.5 repeats 100
-    for sched in ((100, 200, 100), (100, 100.5, 200)):
-        with pytest.raises(ValueError, match="distinct"):
-            cf.interpretation_check(ball2, n_schedule=sched, trials=16, seed=0)
+    with pytest.raises(ValueError, match="distinct"):
+        cf.interpretation_check(ball2, n_schedule=(100, 200, 100), trials=16, seed=0)
+    # sizes are whole numbers
+    with pytest.raises(ValueError, match="N schedule entry must be a whole number, got 100.5"):
+        cf.interpretation_check(ball2, n_schedule=(100, 100.5, 200), trials=16, seed=0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite, got %r" % bad):
             cf.interpretation_check(ball2, n_schedule=(100, 200, bad), trials=16, seed=0)
@@ -568,6 +569,37 @@ def test_interpretation_check_schedule_validation(ball2):
         neville_to_zero([0.1, math.nan], [1.0, 2.0])
     with pytest.raises(ValueError, match="equal length"):
         neville_to_zero([0.1, 0.2, 0.3], [1.0, 2.0])
+
+
+# test id: (the argument's name in the error, call with it set to v on a density)
+_WHOLE_ARGS = {
+    "count": ("count", lambda d, v: cf.sample_boundary(d, v, seed=0)),
+    "n_points": ("n_points", lambda d, v: cf.expected_deficit(d, v, trials=3, seed=0)),
+    "trials": ("trials", lambda d, v: cf.expected_deficit(d, 20, trials=v, seed=0)),
+    "seed": ("seed", lambda d, v: cf.expected_deficit(d, 20, trials=3, seed=v)),
+    "seed entry": ("seed", lambda d, v: cf.expected_deficit(d, 20, trials=3, seed=(1, v))),
+    "check trials": ("trials", lambda d, v: cf.interpretation_check(
+        d.body, n_schedule=(8, 16, 32), trials=v, seed=0)),
+    "check seed": ("seed", lambda d, v: cf.interpretation_check(
+        d.body, n_schedule=(8, 16, 32), trials=2, seed=v)),
+    "N schedule entry": ("N schedule entry", lambda d, v: cf.interpretation_check(
+        d.body, n_schedule=(8, 16, 30 + v), trials=2, seed=0)),
+}
+
+
+@pytest.mark.parametrize("arg", sorted(_WHOLE_ARGS))
+def test_sizes_trials_and_seeds_are_whole_numbers(arg, ball2):
+    name, call = _WHOLE_ARGS[arg]
+    density = cf.boundary_density(ball2, p=1.0)
+    want = call(density, 2)
+    for same in (2.0, np.int64(2)):
+        got = call(density, same)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert repr(got) == repr(want)
+    with pytest.raises(ValueError, match="^%s must be a whole number, got" % name):
+        call(density, 2.5)
 
 
 @settings(max_examples=30, deadline=None)
