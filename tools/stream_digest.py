@@ -51,12 +51,13 @@ Each digest is over exact float64 bits (float.hex):
   ``<tmp>``.  An unwritable ``--out`` path, ``corpus-gen`` on an existing
   file and the dim-3 Monte Carlo refusal are left out: their exits and
   messages are pinned by the tests instead.
-* ``transforms``: the default-rule grid's ``h`` and ``s``, ``asa`` (p = 1)
-  and ``body_volume`` of the 2:1 ellipse rotated by 0.4, the eps = 0.1
-  perturbed disk scaled by 1.3, the 2:1:1 ellipsoid under a rotation in
-  space and the ``from_support`` body of the 2:1 ellipse's support
-  function; then ``expected_deficit`` means (p = 1, N = 250 and 500, 8
-  trials, fixed seeds) on the two planar transforms.
+* ``transforms``: the default-rule grid's ``h`` and ``s``, ``asa`` (p = 1),
+  ``body_volume`` and the boundary points at the rule's nodes of the 2:1
+  ellipse rotated by 0.4, the eps = 0.1 perturbed disk scaled by 1.3, the
+  2:1:1 ellipsoid under a rotation in space and the ``from_support`` body
+  of the 2:1 ellipse's support function; then ``expected_deficit`` means
+  (p = 1, N = 250 and 500, 8 trials, fixed seeds) on the two planar
+  transforms.
 
 Run it on two checkouts and compare the output:
 
@@ -270,7 +271,11 @@ def _transformed():
 
 def _transforms():
     bodies = _transformed()
-    out = {body.label: _record(body) + [cf.body_volume(body).hex()] for body in bodies}
+    out = {}
+    for body in bodies:
+        points = body.gradient(cf.default_rule(body.dim).nodes)
+        out[body.label] = _record(body) + [cf.body_volume(body).hex(),
+                                           [v.hex() for v in points.ravel().tolist()]]
     for seed, body in enumerate(bodies[:2]):
         density = cf.boundary_density(body, p=1.0)
         for n in (250, 500):
