@@ -150,7 +150,7 @@ class SupportBody:
 
 def _float_input(oracle):
     # the one place where an oracle's input becomes a float array
-    return oracle and (lambda U: oracle(np.asarray(U, dtype=float)))
+    return None if oracle is None else (lambda U: oracle(np.asarray(U, dtype=float)))
 
 
 _MISSING = object()
