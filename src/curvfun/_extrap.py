@@ -1,8 +1,13 @@
-"""Polynomial extrapolation of a sequence of estimates to a zero parameter."""
+"""The shared input rules, and polynomial extrapolation to a zero parameter.
+
+Each rule that several entry points apply to their arguments is one
+function here: check_dim for dimensions, check_whole for whole numbers and
+check_steps for schedules.  Every error is a ValueError naming the argument.
+"""
 
 import math
 
-__all__ = ["check_steps", "check_whole", "neville_to_zero", "neville_weights"]
+__all__ = ["check_dim", "check_steps", "check_whole", "neville_to_zero", "neville_weights"]
 
 
 def check_steps(values, minimum, name):
@@ -21,6 +26,18 @@ def check_steps(values, minimum, name):
     if len(set(vals)) != len(vals):
         raise ValueError("%s entries must be distinct" % name)
     return vals
+
+
+def check_dim(dim, name="dim"):
+    """The dimension rule: the library works in R^2 and R^3 only.
+
+    A value equal to 2 or 3 (2.0 and numpy integers included) is returned as
+    an int; anything else (2.7, "2", True, 4) raises a ValueError that names
+    the argument by `name`.
+    """
+    if dim in (2, 3):
+        return 2 if dim == 2 else 3
+    raise ValueError("%s must be 2 or 3, got %r" % (name, dim))
 
 
 def check_whole(value, name):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._extrap import check_dim, check_whole
 from .geometry import _cached, curvature_arrays, curvature_grid
 from .quadrature import default_rule, integrate
 
@@ -46,7 +47,9 @@ class WeightIndex:
 
     m is a nonnegative integer, k any real number, and i a tuple of
     nonnegative integers (i_1, ..., i_{n-1}) constrained by
-    sum_j j * i_j = m.  The ambient dimension is len(i) + 1.
+    sum_j j * i_j = m.  The ambient dimension is len(i) + 1.  Every value
+    must be finite; m and the i entries are read by check_whole, so 2.0 is
+    2 and 2.5 is refused.
     """
 
     m: int
@@ -58,15 +61,14 @@ class WeightIndex:
         for name, vals in (("m", (self.m,)), ("k", (self.k,)), ("i", i)):
             if not all(math.isfinite(v) for v in vals):
                 raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
-        if self.m != int(self.m) or self.m < 0:
-            raise ValueError("m must be a nonnegative integer, got %r" % (self.m,))
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "k", float(self.k))
         if len(i) not in (1, 2):
             raise ValueError("i must have length dim-1 (1 or 2), got %r" % (i,))
-        if any(v != int(v) or v < 0 for v in i):
-            raise ValueError("i entries must be nonnegative integers, got %r" % (i,))
-        i = tuple(int(v) for v in i)
+        m, i = check_whole(self.m, "m"), tuple(check_whole(v, "i entry") for v in i)
+        if m < 0 or min(i) < 0:
+            raise ValueError("m and the i entries must be nonnegative, got m = %d, i = %r"
+                             % (m, i))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "i", i)
         weighted = sum(j * v for j, v in enumerate(i, start=1))
         if weighted != self.m:
@@ -99,7 +101,8 @@ class WeightIndex:
 
     @classmethod
     def zero(cls, dim):
-        return cls(0, 0.0, (0,) * (dim - 1))
+        """The zero index (0, 0, (0, ...)) of dimension dim, read by check_dim."""
+        return cls(0, 0.0, (0,) * (check_dim(dim) - 1))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._extrap import check_dim
 from .quadrature import default_rule, integrate
 
 __all__ = [
@@ -74,7 +75,7 @@ class SupportBody:
     """A convex body given by vectorized support-function oracles.
 
     Attributes:
-        dim: ambient dimension (2 or 3).
+        dim: ambient dimension, 2 or 3 (read by check_dim, so 2.0 is 2).
         label: short identifier used in reports.
 
     The three oracles accept arrays of shape (..., dim) of unit vectors:
@@ -128,8 +129,7 @@ class SupportBody:
 
     def __init__(self, dim, support, gradient, hessian, label, polar=None,
                  support_radius=None):
-        if dim not in (2, 3):
-            raise ValueError("only dimensions 2 and 3 are supported")
+        dim = check_dim(dim)
         if support_radius is not None and dim != 2:
             raise ValueError("a radius oracle is only defined in dimension 2")
         object.__setattr__(self, "dim", dim)
@@ -203,7 +203,11 @@ class CurvatureGrid:
 
 
 def make_ball(dim, radius=1.0, label=None):
-    """Centered ball. h = R, boundary point R*u, all radii equal to R."""
+    """Centered ball. h = R, boundary point R*u, all radii equal to R.
+
+    dim is read by check_dim.
+    """
+    dim = check_dim(dim)
     if not 0 < radius < math.inf:
         raise BodyConstructionError("ball radius must be positive and finite, got %g" % radius)
     r = float(radius)
@@ -252,9 +256,10 @@ def make_ellipsoid(dim, matrix, label=None):
     """Centered ellipsoid {x : x^T M^-1 x <= 1} with h(u) = sqrt(u^T M u).
 
     Args:
-        dim: 2 or 3.
+        dim: 2 or 3, read by check_dim.
         matrix: symmetric positive definite (dim, dim) array.
     """
+    dim = check_dim(dim)
     m = np.asarray(matrix, dtype=float)
     if m.shape != (dim, dim):
         raise BodyConstructionError("matrix shape %s does not match dim %d" % (m.shape, dim))
@@ -349,22 +354,22 @@ def make_perturbed_ball(dim, mode=3, eps=0.05, label=None):
     dim 3: h(u) = 1 + eps*P(u) for a fixed odd harmonic polynomial P chosen
     by mode id (currently mode 3, the degree-3 sectoral harmonic x^3-3xy^2).
 
-    Validated by building the default rule's curvature grid, which the
-    body keeps; on failure the error names the largest usable eps.
+    dim is read by check_dim.  Validated by building the default rule's
+    curvature grid, which the body keeps; on failure the error names the
+    largest usable eps.
     """
+    dim = check_dim(dim)
     if not 0 <= eps < math.inf:
         raise BodyConstructionError("eps must be nonnegative and finite, got %g" % eps)
     if dim == 2:
         if not 3 <= float(mode) < math.inf or int(mode) != mode:
             raise BodyConstructionError("dim-2 perturbation mode must be an integer >= 3")
         body = _perturbed_disk(int(mode), float(eps), label)
-    elif dim == 3:
+    else:
         if mode != 3:
             raise BodyConstructionError(
                 "unknown dim-3 harmonic mode %r (available: [3])" % (mode,))
         body = _perturbed_ball3(float(eps), label)
-    else:
-        raise ValueError("only dimensions 2 and 3 are supported")
 
     try:
         curvature_grid(body)
@@ -454,8 +459,9 @@ def from_support(fn, dim, label="fd-body"):
 
     Args:
         fn: vectorized support function on (..., dim) unit vectors.
-        dim: 2 or 3.
+        dim: 2 or 3, read by check_dim.
     """
+    dim = check_dim(dim)
     probe = SupportBody(dim, fn, None, None, label)
 
     def ext(Z):
@@ -698,12 +704,15 @@ def centroid(body, rule=None):
 def recenter(body, c):
     """Shift so that the point c becomes the origin: h -> h - <c, u>.
 
+    The shifted body is validated by building its default-rule curvature
+    grid, which it keeps.
+
     Args:
         c: a point strictly interior to the body.
 
     Raises:
-        ValueError: if the shifted support function is not positive on the
-            default rule's nodes (c is not strictly interior).
+        ConvexityError: if the shifted support function is not positive on
+            the default rule's nodes (c is not strictly interior).
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (body.dim,):
@@ -722,13 +731,7 @@ def recenter(body, c):
     out = SupportBody(body.dim, support, gradient, body.hessian,
                       "%s-%s" % (body.label, np.round(c, 12).tolist()),
                       support_radius=body.support_radius and support_radius)
-    nodes = default_rule(body.dim).nodes
-    h = out.support(nodes)
-    if not np.all(h > 0):
-        idx = int(np.argmin(h))
-        raise ValueError(
-            "point %s is not strictly interior: support becomes %.6g at u=%s"
-            % (c.tolist(), h[idx], nodes[idx].tolist()))
+    curvature_grid(out)
     return out
 
 
@@ -808,7 +811,7 @@ def polar_body(body):
 def body_from_dict(spec):
     """Construct a body from a JSON-style dict.
 
-    Recognized keys: dim (2 or 3), type ("ball" | "ellipsoid" |
+    Recognized keys: dim (2 or 3, read by check_dim), type ("ball" | "ellipsoid" |
     "perturbed_ball"), radius, matrix, semi_axes, rotation, mode, epsilon,
     translate, label (a string). Unknown keys other than "provenance" are
     rejected.
@@ -827,10 +830,7 @@ def body_from_dict(spec):
         kind = spec["type"]
     except KeyError as exc:
         raise ValueError("body spec is missing required key %s" % exc) from None
-    # 2.0 is 2, but 2.7 and "2" are not
-    if dim not in (2, 3):
-        raise ValueError("body spec dim must be 2 or 3, got %r" % dim)
-    dim = int(dim)
+    dim = check_dim(dim, "body spec dim")
     label = spec.get("label")
     if label is not None and not isinstance(label, str):
         raise ValueError("body spec label must be a string, got %r" % (label,))

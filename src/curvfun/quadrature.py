@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from ._extrap import check_dim
+
 __all__ = [
     "SphereRule",
     "circle_rule",
@@ -36,7 +38,7 @@ class SphereRule:
     """Immutable node/weight table for integration over S^(dim-1).
 
     Attributes:
-        dim: ambient dimension, 2 or 3.
+        dim: ambient dimension, 2 or 3 (read by check_dim, so 2.0 is 2).
         nodes: (N, dim) unit vectors.
         weights: (N,) positive weights summing to the sphere area.
         name: short spec string such as "512" or "64x128".
@@ -49,7 +51,7 @@ class SphereRule:
         weights = np.ascontiguousarray(weights, dtype=float)
         nodes.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", check_dim(dim))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "name", name)
@@ -110,32 +112,34 @@ def default_rule(dim):
 
     Built once per dimension and shared: every call with the same dim
     returns the same read-only rule, so results cached per rule on a body
-    are found again by later default-rule calls.
+    are found again by later default-rule calls.  A dim that misses the
+    table goes through check_dim, so 2.0 finds the dim-2 rule and 4 raises.
     """
     if dim not in _DEFAULT_RULES:
-        if dim not in (2, 3):
-            raise ValueError("only dimensions 2 and 3 are supported")
+        dim = check_dim(dim)
         _DEFAULT_RULES[dim] = circle_rule(512) if dim == 2 else sphere_rule(64, 128)
     return _DEFAULT_RULES[dim]
 
 
 def parse_rule_spec(spec, dim):
-    """Build a rule from a CLI-style string: "N" for dim 2, "NPxNA" for dim 3."""
+    """Build a rule from a CLI-style string: "N" for dim 2, "NPxNA" for dim 3.
+
+    dim is read by check_dim.
+    """
+    dim = check_dim(dim)
     spec = spec.strip()
     try:
         if dim == 2:
             return circle_rule(int(spec))
-        if dim == 3:
-            left, _, right = spec.partition("x")
-            if not right:
-                raise ValueError
-            return sphere_rule(int(left), int(right))
+        left, _, right = spec.partition("x")
+        if not right:
+            raise ValueError
+        return sphere_rule(int(left), int(right))
     except ValueError:
         raise ValueError(
             "bad rule spec %r for dimension %d (expected e.g. %r)"
             % (spec, dim, "512" if dim == 2 else "64x128")
         ) from None
-    raise ValueError("only dimensions 2 and 3 are supported")
 
 
 def integrate(rule, integrand):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import warnings
 import weakref
 
@@ -283,6 +284,59 @@ def test_centroid_and_recenter(ball2):
         cf.recenter(ball2, np.array([1.5, 0.0]))
 
 
+def _dim_of(d):
+    # the reference dimension for a dim argument: 3 for a value equal to 3,
+    # else 2, so an entry point refusing d gets oracles, nodes or a matrix
+    # it could use
+    return 3 if d == 3 else 2
+
+
+_BALL_ORACLES = {dim: cf.make_ball(dim) for dim in (2, 3)}
+_SMALL_RULES = {2: cf.circle_rule(16), 3: cf.sphere_rule(8, 16)}
+
+# entry point: (the argument's name in the error, call with dim set to d)
+_DIM_ENTRIES = {
+    "SupportBody": ("dim", lambda d: cf.SupportBody(
+        d, *(getattr(_BALL_ORACLES[_dim_of(d)], f) for f in ("support", "gradient", "hessian")),
+        "b")),
+    "SphereRule": ("dim", lambda d: cf.SphereRule(
+        d, _SMALL_RULES[_dim_of(d)].nodes, _SMALL_RULES[_dim_of(d)].weights, "r")),
+    "make_ball": ("dim", lambda d: cf.make_ball(d)),
+    "make_ellipsoid": ("dim", lambda d: cf.make_ellipsoid(
+        d, np.diag([4.0, 1.0, 2.0][:_dim_of(d)]))),
+    "make_perturbed_ball": ("dim", lambda d: cf.make_perturbed_ball(d, 3, 0.05)),
+    "from_support": ("dim", lambda d: cf.from_support(_BALL_ORACLES[_dim_of(d)].support, d)),
+    "default_rule": ("dim", lambda d: cf.default_rule(d)),
+    "parse_rule_spec": ("dim", lambda d: cf.parse_rule_spec(
+        "16" if _dim_of(d) == 2 else "8x16", d)),
+    "body_from_dict": ("body spec dim", lambda d: cf.body_from_dict({"dim": d, "type": "ball"})),
+    "WeightIndex.zero": ("dim", lambda d: cf.WeightIndex.zero(d)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DIM_ENTRIES))
+def test_every_entry_point_reads_dim_by_one_rule(entry):
+    name, call = _DIM_ENTRIES[entry]
+    for bad in (2.7, "2", True, 4):
+        with pytest.raises(ValueError, match="^%s must be 2 or 3, got %s$"
+                           % (name, re.escape(repr(bad)))):
+            call(bad)
+    # 2.0 and numpy integers give what the int gives, with an int dim
+    for same, dim in ((2.0, 2), (np.int64(3), 3)):
+        got, want = call(same), call(dim)
+        if isinstance(want, cf.WeightIndex):
+            assert got == want and hash(got) == hash(want)
+            continue
+        assert type(got.dim) is int and got.dim == dim
+        if isinstance(want, cf.SphereRule):
+            assert got.name == want.name
+            assert got.nodes.tobytes() == want.nodes.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+        else:
+            g, w = cf.curvature_grid(got), cf.curvature_grid(want)
+            assert g.h.tobytes() == w.h.tobytes() and g.s.tobytes() == w.s.tobytes()
+
+
 def test_transform_scaling(ellipse21):
     big = cf.transform(ellipse21, 2.0)
     assert abs(cf.body_volume(big) - 4 * cf.body_volume(ellipse21)) < 1e-8
@@ -477,8 +531,10 @@ def test_nan_support_fails_the_positivity_test(dim):
     assert messages == [messages[0]] * 2
     assert messages[0].endswith("; origin not interior")
     assert body._cache == {}
-    with pytest.raises(ValueError, match="not strictly interior"):
+    # recenter validates through the grid, so it raises the same error
+    with pytest.raises(cf.ConvexityError, match="support function nan <= 0") as info:
         cf.recenter(body, np.zeros(dim))
+    assert str(info.value).endswith("; origin not interior")
 
 
 def test_nan_radius_fails_the_positivity_test():
