@@ -1,13 +1,17 @@
 """The shared input rules, and polynomial extrapolation to a zero parameter.
 
 Each rule that several entry points apply to their arguments is one
-function here: check_dim for dimensions, check_whole for whole numbers and
-check_steps for schedules.  Every error is a ValueError naming the argument.
+function here: check_dim for dimensions, check_whole for whole numbers,
+check_seed for seeds and check_steps for schedules.  Every error is a
+ValueError naming the argument.
 """
 
 import math
 
-__all__ = ["check_dim", "check_steps", "check_whole", "neville_to_zero", "neville_weights"]
+import numpy as np
+
+__all__ = ["check_dim", "check_seed", "check_steps", "check_whole", "neville_to_zero",
+           "neville_weights"]
 
 
 def check_steps(values, minimum, name):
@@ -53,6 +57,16 @@ def check_whole(value, name):
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError("%s must be a whole number, got %r" % (name, value))
+
+
+def check_seed(seed):
+    """The seed rule: a whole number or a sequence of whole numbers.
+
+    Returned as a tuple of ints, each entry read by check_whole, which
+    numpy's default_rng takes to the same stream as the int or list it
+    came from: default_rng(2) and default_rng((2,)) draw the same numbers.
+    """
+    return tuple(check_whole(v, "seed") for v in ((seed,) if np.ndim(seed) == 0 else seed))
 
 
 def neville_to_zero(xs, ys):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._extrap import check_dim, check_whole
-from .geometry import _cached, curvature_arrays, curvature_grid
+from .geometry import _cached, _check_direction, curvature_arrays, curvature_grid
 from .quadrature import default_rule, integrate
 
 __all__ = [
@@ -277,10 +277,11 @@ def lutwak_density(body, p, u):
     """The L_p curvature density (f_K / h^(p-1))^(n/(n+p)) at direction u.
 
     f_K = s_{n-1} is the curvature function.  For p=inf this degenerates to
-    h^-n, the polar volume density.
+    h^-n, the polar volume density.  u must have shape (dim,) and a norm
+    within 1e-10 of 1, as in curvature_at (ValueError otherwise).
     """
     alpha, beta = asa_exponents(body.dim, p)
-    u = np.asarray(u, dtype=float)
+    u, _ = _check_direction(body, u)
     h, _, _, s, _ = curvature_arrays(body, u[None, :])
     val = _power(s[:, -1], 1.0 - alpha) * _power(h, -beta)
     return float(val[0])

@@ -95,9 +95,10 @@ class SupportBody:
     a rule is part of a key by identity:
 
         ("grid", rule)                          curvature_grid, which is the
-                                                validation: the loaders and
-                                                make_perturbed_ball keep the
-                                                default rule's grid
+                                                validation: the loaders,
+                                                make_perturbed_ball and
+                                                recenter keep the default
+                                                rule's grid
         ("logs", rule)                          (log h, log s_{n-1}) of that
                                                 grid, read-only; every
                                                 functional integrand and
@@ -639,19 +640,26 @@ def curvature_grid(body, rule=None):
     return _cached(body, ("grid", rule), compute)
 
 
-def curvature_at(body, u):
-    """Curvature data at a single unit direction u.
-
-    Raises:
-        ValueError: if u is not a unit vector.
-        ConvexityError: if a principal radius is <= 1e-10 at u.
-    """
+def _check_direction(body, u):
+    # the direction rule of single-direction queries: shape (dim,) and |u|
+    # within 1e-10 of 1; returns u as a float array and its norm
     u = np.asarray(u, dtype=float)
     if u.shape != (body.dim,):
         raise ValueError("direction shape %s does not match dim %d" % (u.shape, body.dim))
     norm = np.linalg.norm(u)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("direction must be a unit vector, |u| = %.12g" % norm)
+    return u, norm
+
+
+def curvature_at(body, u):
+    """Curvature data at a single unit direction u.
+
+    Raises:
+        ValueError: if u is not a unit vector (see _check_direction).
+        ConvexityError: if a principal radius is <= 1e-10 at u.
+    """
+    u, norm = _check_direction(body, u)
     h, x, radii, s, H = curvature_arrays(body, (u / norm)[None, :])
     return CurvaturePoint(u=u, x=x[0], h=float(h[0]),
                           radii=tuple(radii[0]), s=tuple(s[0]), H=tuple(H[0]))

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._extrap import check_dim
+from ._extrap import check_dim, check_whole
 
 __all__ = [
     "SphereRule",
@@ -70,8 +70,9 @@ def circle_rule(n_nodes=512):
     """Equally spaced rule on S^1 with weights 2*pi/N.
 
     Args:
-        n_nodes: number of angles, at least 8.
+        n_nodes: number of angles, at least 8, read by check_whole.
     """
+    n_nodes = check_whole(n_nodes, "n_nodes")
     if n_nodes < 8:
         raise ValueError("circle rule needs at least 8 nodes, got %d" % n_nodes)
     theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
@@ -86,7 +87,10 @@ def sphere_rule(n_polar=64, n_azimuth=128):
     Args:
         n_polar: Gauss-Legendre point count in t = cos(polar), at least 8.
         n_azimuth: equally spaced azimuth count, at least 16.
+
+    Both counts are read by check_whole.
     """
+    n_polar, n_azimuth = check_whole(n_polar, "n_polar"), check_whole(n_azimuth, "n_azimuth")
     if n_polar < 8:
         raise ValueError("sphere rule needs at least 8 polar nodes, got %d" % n_polar)
     if n_azimuth < 16:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._extrap import check_steps, check_whole, neville_to_zero, neville_weights
+from ._extrap import check_seed, check_steps, check_whole, neville_to_zero, neville_weights
 from .functionals import (WeightIndex, _ZERO_INDEX, _check_index, _power, _validate_p,
                           asa_exponents, weighted_asa)
 from .geometry import _cached, _check_positive, _curvature_core, body_volume, curvature_grid
@@ -51,8 +51,9 @@ def random_polytope_constant(dim):
     Closed form: (n-1)^((n+1)/(n-1)) * Gamma(n+1 + 2/(n-1)) over
     2 * (n+1)! * b^(2/(n-1)), where b is the boundary measure of the unit
     ball in R^(n-1).  Evaluates to 1/2 in the plane and 1/pi in space.
+    dim is read by check_whole.
     """
-    n = int(dim)
+    n = check_whole(dim, "dim")
     if n < 2:
         raise ValueError("dim must be >= 2")
     m = n - 1
@@ -238,9 +239,10 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     Raises:
         TypeError: if index is not a WeightIndex.
         ValueError: for symbolic p = inf (no sampling density there),
-            mismatched index dimension, safety <= 1, a planar rule with a
-            gap of pi or more between consecutive nodes, or a spatial rule
-            whose hull does not surround the origin.
+            mismatched index dimension, a safety that is not finite and
+            above 1, a planar rule with a gap of pi or more between
+            consecutive nodes, or a spatial rule whose hull does not
+            surround the origin.
     """
     if index is None:
         index = _ZERO_INDEX[body.dim]
@@ -248,8 +250,8 @@ def boundary_density(body, index=None, p=1.0, rule=None, safety=1.5):
     if not math.isfinite(p):
         raise ValueError("sampling densities need finite p")
     _check_index(body, index)
-    if not safety > 1.0:
-        raise ValueError("safety must exceed 1")
+    if not 1.0 < safety < math.inf:
+        raise ValueError("safety must exceed 1 and be finite, got %r" % (safety,))
     if rule is None:
         rule = default_rule(body.dim)
     safety = float(safety)
@@ -384,12 +386,14 @@ def sample_boundary(density, count, seed=None, return_stats=False):
     radii agree to rounding (about 1e-14 relative), so only a proposal
     that close to its threshold could be decided otherwise.
 
-    seed: int, sequence of ints, or an existing numpy Generator.
+    seed: None (fresh entropy), an existing numpy Generator, used as it
+    is, or a whole number or sequence of them, read by check_seed.
     """
     count = check_whole(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(
+        None if seed is None else check_seed(seed))
     body = density.body
     rate = density.normalizer / density._mass
     chunks = []
@@ -440,7 +444,12 @@ def hull_volume(points):
     products of consecutive vertices, so it does not depend on the row
     order of the points or on which vertex the cyclic order starts at.  The
     spatial branch delegates to qhull.  degenerate means the hull has empty
-    interior.
+    interior; fewer than dim + 1 points give that result unread.
+
+    Raises:
+        ValueError: if one of dim + 1 or more points has a NaN or infinite
+            coordinate.  The plane scans the points only when a column sum
+            is not finite, which every non-finite point makes it.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] not in (2, 3):
@@ -450,7 +459,10 @@ def hull_volume(points):
         return HullResult(0.0, True)
     if n == 2:
         xs, ys = pts.T
-        order = np.argsort(np.arctan2(ys - ys.sum() / N, xs - xs.sum() / N))
+        sx, sy = xs.sum(), ys.sum()
+        if not (math.isfinite(sx) and math.isfinite(sy)):
+            _check_finite(pts)
+        order = np.argsort(np.arctan2(ys - sy / N, xs - sx / N))
         xs, ys = np.take(pts, order, axis=0).T
         # the cross products of consecutive vertices, the wrap term last
         cross = np.empty_like(xs)
@@ -462,11 +474,20 @@ def hull_volume(points):
     # and only the spatial branch needs it
     from scipy.spatial import ConvexHull, QhullError
 
+    _check_finite(pts)
     try:
         hull = ConvexHull(pts)
     except QhullError:
         return HullResult(0.0, True)
     return HullResult(float(hull.volume), False)
+
+
+def _check_finite(pts):
+    # the point rule: every coordinate finite; the error names the first row
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError("points must be finite, got %s at row %d" % (pts[row].tolist(), row))
 
 
 @dataclass(frozen=True)
@@ -489,11 +510,12 @@ def expected_deficit(density, n_points, trials=256, seed=0):
     are reproducible and trials are independent streams.  scaled_mean is
     the mean times n_points^(2/(n-1)), the quantity with a finite limit.
     Every trial is hull_volume(sample_boundary(density, n_points, seed=rng)).
+    seed is read by check_seed.
     """
     n_points, trials = check_whole(n_points, "n_points"), check_whole(trials, "trials")
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")
-    base = tuple(check_whole(v, "seed") for v in ((seed,) if np.isscalar(seed) else seed))
+    base = check_seed(seed)
     vol = body_volume(density.body, density.rule)
     deficits = []
     degenerate = 0

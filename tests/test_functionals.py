@@ -245,6 +245,21 @@ def test_lutwak_density(ball2, ellipse21):
     assert abs(got - 0.25) < 1e-12
 
 
+def test_lutwak_density_takes_unit_directions_only(ball2, ellipse21):
+    # curvature_at's direction rule, with its messages
+    for u, message in (([1.0, 1.0], "unit vector, |u| = 1.41421356237"),
+                       ([1.0, 0.0, 0.0], r"shape \(3,\) does not match dim 2")):
+        for query in (cf.curvature_at, lambda b, u: cf.lutwak_density(b, 1.0, u)):
+            with pytest.raises(ValueError, match=message):
+                query(ball2, u)
+    # a unit direction within 1e-10 is taken as given
+    u = np.array([0.6, 0.8 + 1e-12])
+    h, _, _, s, _ = cf.curvature_arrays(ellipse21, u[None, :])
+    alpha, beta = cf.asa_exponents(2, 1.0)
+    want = float(s[0, -1] ** (1.0 - alpha) * h[0] ** -beta)
+    assert cf.lutwak_density(ellipse21, 1.0, u) == want
+
+
 def test_mu_density_masses(ellipse21, rule2):
     for index in (cf.WeightIndex.zero(2), cf.WeightIndex(2, 1.0, (2,))):
         mu = cf.mu_density(ellipse21, index, rule2)

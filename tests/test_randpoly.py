@@ -37,8 +37,9 @@ def test_boundary_density_on_ball(ball2, ball3):
 def test_boundary_density_validation(ball2, ball3):
     with pytest.raises(ValueError, match="finite"):
         cf.boundary_density(ball2, p=math.inf)
-    with pytest.raises(ValueError, match="safety"):
-        cf.boundary_density(ball2, safety=1.0)
+    for safety in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="safety"):
+            cf.boundary_density(ball2, safety=safety)
     with pytest.raises(ValueError):
         cf.boundary_density(ball3, index=cf.WeightIndex.zero(2))
 
@@ -497,6 +498,25 @@ def test_hull_volume_validation():
         cf.hull_volume(np.zeros(8))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hull_volume_refuses_non_finite_points(dim, bad):
+    pts = np.vstack([np.zeros(dim), np.eye(dim), np.full(dim, 0.25)])
+    for row, col in ((dim + 1, dim - 1), (0, 0)):
+        broken = pts.copy()
+        broken[row, col] = bad
+        with pytest.raises(ValueError, match=r"^points must be finite, got .* at row %d$" % row):
+            cf.hull_volume(broken)
+
+
+def test_hull_volume_takes_finite_points_whose_sums_overflow():
+    # the planar branch scans the points only when a column sum is not
+    # finite; finite points that overflow the sum pass the scan
+    pts = np.array([[1e308, 0.0], [1e308, 1.0], [0.0, 1.0], [-1.0, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cf.hull_volume(pts)
+
+
 def test_expected_deficit(ball2):
     density = cf.boundary_density(ball2, p=1.0)
     est = cf.expected_deficit(density, 64, trials=200, seed=1)
@@ -584,6 +604,12 @@ _WHOLE_ARGS = {
         d.body, n_schedule=(8, 16, 32), trials=2, seed=v)),
     "N schedule entry": ("N schedule entry", lambda d, v: cf.interpretation_check(
         d.body, n_schedule=(8, 16, 30 + v), trials=2, seed=0)),
+    "sample seed": ("seed", lambda d, v: cf.sample_boundary(d, 5, seed=v)),
+    "sample seed entry": ("seed", lambda d, v: cf.sample_boundary(d, 5, seed=(1, v))),
+    "n_nodes": ("n_nodes", lambda d, v: cf.circle_rule(14 + v)),
+    "n_polar": ("n_polar", lambda d, v: cf.sphere_rule(6 + v, 16)),
+    "n_azimuth": ("n_azimuth", lambda d, v: cf.sphere_rule(8, 14 + v)),
+    "polytope dim": ("dim", lambda d, v: cf.random_polytope_constant(1 + v)),
 }
 
 
@@ -598,6 +624,9 @@ def test_sizes_trials_and_seeds_are_whole_numbers(arg, ball2):
             assert np.array_equal(got, want)
         else:
             assert repr(got) == repr(want)
+        if isinstance(want, cf.SphereRule):
+            assert got.nodes.tobytes() == want.nodes.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
     with pytest.raises(ValueError, match="^%s must be a whole number, got" % name):
         call(density, 2.5)
 
