@@ -45,7 +45,7 @@ def check_dim(dim, name="dim"):
 
 
 def check_whole(value, name):
-    """The whole-number rule for sample sizes, trial counts and seeds.
+    """The whole-number rule for sizes, counts, seeds and index entries.
 
     An integer, a numpy integer or a float with an integral value (2.0) is
     returned as an int; anything else (2.5, nan, "2") raises a ValueError

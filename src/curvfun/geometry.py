@@ -819,10 +819,10 @@ def polar_body(body):
 def body_from_dict(spec):
     """Construct a body from a JSON-style dict.
 
-    Recognized keys: dim (2 or 3, read by check_dim), type ("ball" | "ellipsoid" |
-    "perturbed_ball"), radius, matrix, semi_axes, rotation, mode, epsilon,
-    translate, label (a string). Unknown keys other than "provenance" are
-    rejected.
+    Recognized keys: dim (2 or 3, read by check_dim), type ("ball" |
+    "ellipsoid" | "perturbed_ball"), radius, matrix, semi_axes, rotation,
+    mode, epsilon, translate, label (a string). Unknown keys other than
+    "provenance" are rejected.
     The body is validated by building its default-rule curvature grid,
     which it keeps.
     """

@@ -116,8 +116,9 @@ def default_rule(dim):
 
     Built once per dimension and shared: every call with the same dim
     returns the same read-only rule, so results cached per rule on a body
-    are found again by later default-rule calls.  A dim that misses the
-    table goes through check_dim, so 2.0 finds the dim-2 rule and 4 raises.
+    are found again by later default-rule calls.  2.0 and numpy integers
+    find the int's rule; a dim that misses the table goes through
+    check_dim, so 4 raises.
     """
     if dim not in _DEFAULT_RULES:
         dim = check_dim(dim)
